@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -22,6 +21,7 @@ from .wavepacket import GaussianPacket
 from .energy_budget import BudgetMode, assemble_budget
 from .localization import SWEEP_FIELDS, minimize_radius, sweep
 from .atom import ATOM_PRESETS, NeutralAtom, atom_electrostatic_energy, atom_minimize
+from .dynamics import _fft_workers
 from .validate import parse_report, report_to_json, run_validation
 
 EXIT_OK = 0
@@ -145,8 +145,7 @@ def cmd_sweep(args) -> int:
     particle = _parse_particle(args)
     mode = BudgetMode.parse(args.mode)
     grid = parse_beta_grid(args.beta)
-    workers = _pool_size()
-    rows = sweep(particle, grid, mode, max_workers=workers)
+    rows = sweep(particle, grid, mode, max_workers=_fft_workers())
     if args.format == "json":
         text = json.dumps([_round12(r.to_dict()) for r in rows], sort_keys=True)
     else:
@@ -206,13 +205,6 @@ def cmd_validate(args) -> int:
     parse_report(text)   # report must round-trip through its own parser
     _write_output(args.output, text, {"command": "validate"})
     return EXIT_OK if report["all_passed"] else 1
-
-
-def _pool_size() -> int:
-    env = os.environ.get("SELFFIELD_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
 
 
 # ---------------------------------------------------------------------------

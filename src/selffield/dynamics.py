@@ -8,6 +8,14 @@ A-dependent factor with the field refreshed from the midpoint psi, half
 kinetic step again.  The A^2 term is a pure phase; the mixed A.grad term is
 applied through a short unitarized polynomial of the anti-Hermitian
 generator (A.grad + div(A .)), keeping per-step norm drift at roundoff.
+The real current and field pass through the half spectrum (rfftn/irfftn).
+
+Between records, evolve fuses the trailing half kinetic factor of one step
+with the leading one of the next ("first same as last", FSAL), which is
+exact for a Strang split and saves one inverse and one forward transform of
+psi per step.  At every record the chain restarts from real-space psi, so a
+run resumed from a snapshot taken at a record is bit-identical to the
+uninterrupted run.
 
 Monitored invariants: norm, the conserved energy in the form
 kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
@@ -27,17 +35,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GridMismatchError, TimestepTooLargeError
+from .errors import ConfigError, GridMismatchError, TimestepTooLargeError
 from .scales import CONST, ParticleSpec
 from .wavepacket import GaussianPacket
 
 SNAPSHOT_VERSION = 1
 
+# Largest admitted bound on the norm of the mixed-term generator per step.
+# The polynomial I + Y + Y^2/2 loses norm at O(|Y|^4 / 4), about 2.5e-9 per
+# step at this bound; the acceptance runs sit near 5e-5.
+MIXED_GENERATOR_LIMIT = 1e-2
+
 
 def _fft_workers() -> int:
+    """Thread count for FFTs and the sweep pool: SELFFIELD_THREADS, else the
+    core count capped at 8."""
     env = os.environ.get("SELFFIELD_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError("SELFFIELD_THREADS",
+                              f"expected an integer, got {env!r}") from None
     return min(os.cpu_count() or 1, 8)
 
 
@@ -74,16 +93,29 @@ class GridState:
     t: float
 
 
+def _axis_arrays(values):
+    """One 1-D array per axis, shaped to broadcast along that axis."""
+    n = values.size
+    return (values.reshape(n, 1, 1), values.reshape(1, n, 1),
+            values.reshape(1, 1, n))
+
+
 class _Workspace:
-    """Precomputed spectral machinery for one GridSpec."""
+    """Precomputed spectral machinery for one GridSpec.
+
+    Wavenumbers and coordinates are kept as 1-D arrays that broadcast along
+    their axis; the full (3, n, n, n) grids k, k_grad and r are built on
+    demand.
+    """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n, dx = spec.n, spec.dx
         self.dv = dx**3
         k1 = 2.0 * math.pi * sfft.fftfreq(n, d=dx)
-        self.k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))  # (3,n,n,n)
-        self.k2 = np.sum(self.k**2, axis=0)
+        self.k_axes = _axis_arrays(k1)
+        kx, ky, kz = self.k_axes
+        self.k2 = kx**2 + ky**2 + kz**2
         # Field kernel excludes k = 0 (no uniform gauge field on the torus)
         # and the Nyquist planes, where the grid projector cannot preserve
         # the Hermitian pairing of a real field.
@@ -98,20 +130,33 @@ class _Workspace:
         # First-derivative wavenumbers zero the Nyquist planes (the odd
         # derivative of the sawtooth mode is sign-ambiguous; zeroing keeps
         # gradients of real fields real and the mixed generator skew).
-        self.k_grad = self.k.copy()
-        for axis in range(3):
-            idx = [slice(None)] * 4
-            idx[0] = axis
-            idx[1 + axis] = nyq
-            self.k_grad[tuple(idx)] = 0.0
-        x1 = np.arange(n) * dx
-        self.r = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
+        kg1 = k1.copy()
+        kg1[nyq] = 0.0
+        self.k_grad_axes = _axis_arrays(kg1)
+        self.ik_grad_axes = _axis_arrays(1j * kg1)
+        self.k_grad_max = math.sqrt(3.0) * float(np.abs(kg1).max())
+        self.x1 = np.arange(n) * dx
         self.centre = 0.5 * spec.box
         mass = spec.particle.mass
         self.kin_omega = CONST.hbar * self.k2 / (2.0 * mass)  # rad/s per mode
         self.charge = spec.particle.charge
         self.workers = _fft_workers()
         self._kin_phase_cache: dict[float, np.ndarray] = {}
+
+    @property
+    def k(self) -> np.ndarray:
+        """Wavevector grid (3, n, n, n)."""
+        return np.array(np.broadcast_arrays(*self.k_axes))
+
+    @property
+    def k_grad(self) -> np.ndarray:
+        """First-derivative wavevector grid (3, n, n, n), Nyquist zeroed."""
+        return np.array(np.broadcast_arrays(*self.k_grad_axes))
+
+    @property
+    def r(self) -> np.ndarray:
+        """Position grid (3, n, n, n)."""
+        return np.array(np.broadcast_arrays(*_axis_arrays(self.x1)))
 
     def kinetic_phase(self, dt: float) -> np.ndarray:
         """exp(-i hbar k^2 dt / 2M), cached per dt."""
@@ -130,48 +175,82 @@ class _Workspace:
         return sfft.ifftn(a, axes=(-3, -2, -1), workers=self.workers,
                           overwrite_x=overwrite)
 
+    def rfftn(self, a):
+        """Half spectrum (last axis n/2 + 1) of a real field."""
+        return sfft.rfftn(a, axes=(-3, -2, -1), workers=self.workers)
+
+    def irfftn(self, a_hat):
+        """Real field from its half spectrum; overwrites a_hat."""
+        n = self.spec.n
+        return sfft.irfftn(a_hat, s=(n, n, n), axes=(-3, -2, -1),
+                           workers=self.workers, overwrite_x=True)
+
     def integral(self, values) -> float:
         """sum over grid times the volume element."""
         return float(np.sum(values)) * self.dv
 
     # physics building blocks ------------------------------------------
-    def current(self, psi, psi_hat=None, a_field=None):
+    def gradient_hat(self, f_hat, out=None):
+        """Spectral gradient i k_grad f_hat as a (3, n, n, n) stack."""
+        if out is None:
+            out = np.empty((3,) + f_hat.shape, dtype=complex)
+        for i, ik in enumerate(self.ik_grad_axes):
+            np.multiply(ik, f_hat, out=out[i])
+        return out
+
+    def current(self, psi, grad, a_field=None):
         """Probability current of the charge: (q hbar / M) Im(psi* grad psi),
-        optionally with the diamagnetic -(q^2/M) |psi|^2 A piece."""
-        if psi_hat is None:
-            psi_hat = self.fftn(psi)
-        grad = self.ifftn(1j * self.k_grad * psi_hat[None, ...])
-        j = (self.charge * CONST.hbar / self.spec.particle.mass) * np.imag(
+        with the diamagnetic -(q^2/M) |psi|^2 A piece when the spec includes
+        it and a_field is given."""
+        mass = self.spec.particle.mass
+        j = (self.charge * CONST.hbar / mass) * np.imag(
             np.conj(psi)[None, ...] * grad)
         if self.spec.include_diagonal_na and a_field is not None:
-            j = j - (self.charge**2 / self.spec.particle.mass) * (
-                np.abs(psi) ** 2)[None, ...] * a_field
+            j -= (self.charge**2 / mass) * (np.abs(psi) ** 2)[None, ...] * a_field
         return j
 
-    def project_transverse(self, vec_hat):
-        """Remove the longitudinal part: v - k (k.v)/k^2, k = 0 untouched.
+    def _wavenumbers(self, vec_hat):
+        """k per axis and 1/k^2 for a full spectrum or an rfftn half spectrum
+        (last axis n/2 + 1; 1/k^2 vanishes on its Nyquist plane, so the sign
+        convention of that plane does not enter)."""
+        m = vec_hat.shape[-1]
+        kx, ky, kz = self.k_axes
+        return (kx, ky, kz[..., :m]), self.inv_k2[..., :m]
 
-        Applied twice: near-longitudinal modes amplify the roundoff of a
-        single projection, and the second pass restores transversality to
-        machine precision.
-        """
-        for _ in range(2):
-            k_dot = np.sum(self.k * vec_hat, axis=0)
-            vec_hat = vec_hat - self.k * (k_dot * self.inv_k2)[None, ...]
-        return vec_hat
+    def project_transverse(self, vec_hat):
+        """Remove the longitudinal part in one pass: v - k (k.v)/k^2, k = 0
+        untouched.  Serves full and half (rfftn) spectra."""
+        k_axes, inv_k2 = self._wavenumbers(vec_hat)
+        k_dot = k_axes[0] * vec_hat[0]
+        k_dot += k_axes[1] * vec_hat[1]
+        k_dot += k_axes[2] * vec_hat[2]
+        k_dot *= inv_k2
+        out = np.empty_like(vec_hat)
+        for i, k in enumerate(k_axes):
+            np.multiply(k, k_dot, out=out[i])
+            np.subtract(vec_hat[i], out[i], out=out[i])
+        return out
 
     def vector_potential_hat(self, j_hat):
         """A_hat = P_perp j_hat / (eps0 c^2 k^2); the k = 0 mode is zero."""
-        a_hat = self.project_transverse(j_hat) * (
-            self.inv_k2 / (CONST.eps0 * CONST.c**2))[None, ...]
+        a_hat = self.project_transverse(j_hat)
+        a_hat *= self._wavenumbers(j_hat)[1] / (CONST.eps0 * CONST.c**2)
         return a_hat
 
-    def solve_a(self, psi, psi_hat=None, a_prev=None):
-        """Slaved field from the current state: returns (a_field, a_hat)."""
-        j = self.current(psi, psi_hat=psi_hat, a_field=a_prev)
-        j_hat = self.fftn(j)
-        a_hat = self.vector_potential_hat(j_hat)
-        return np.real(self.ifftn(a_hat)), a_hat
+    def solve_a(self, psi_hat, a_prev=None):
+        """psi and its slaved field from the spectrum psi_hat: (psi, a_field).
+
+        psi and grad psi come from one batched inverse transform; the real
+        current and field go through the half spectrum.
+        """
+        n = self.spec.n
+        stack = np.empty((4, n, n, n), dtype=complex)
+        stack[0] = psi_hat
+        self.gradient_hat(psi_hat, out=stack[1:])
+        stack = self.ifftn(stack, overwrite=True)
+        j = self.current(stack[0], stack[1:], a_field=a_prev)
+        a_field = self.irfftn(self.vector_potential_hat(self.rfftn(j)))
+        return stack[0], a_field
 
 
 def _packet_on_grid(ws: _Workspace, packet: GaussianPacket):
@@ -201,7 +280,7 @@ def init_grid(spec: GridSpec, packet: GaussianPacket) -> GridState:
         raise ValueError("packet and grid must carry the same particle")
     ws = _Workspace(spec)
     psi = _packet_on_grid(ws, packet)
-    a_field, _ = ws.solve_a(psi)
+    _, a_field = ws.solve_a(ws.fftn(psi))
     return GridState(psi=psi, a_field=a_field, t=0.0)
 
 
@@ -212,8 +291,7 @@ def solve_vector_potential(state: GridState, spec: GridSpec) -> np.ndarray:
     with the k = 0 (uniform) mode set to zero.
     """
     ws = _Workspace(spec)
-    a_prev = state.a_field if spec.include_diagonal_na else None
-    a_field, _ = ws.solve_a(state.psi, a_prev=a_prev)
+    _, a_field = ws.solve_a(ws.fftn(state.psi), a_prev=state.a_field)
     return a_field
 
 
@@ -225,7 +303,8 @@ def transversality_residual(a_field: np.ndarray, spec: GridSpec) -> float:
     """
     ws = _Workspace(spec)
     a_hat = ws.fftn(a_field)
-    k_dot = np.abs(np.sum(ws.k * a_hat, axis=0))
+    kx, ky, kz = ws.k_axes
+    k_dot = np.abs(kx * a_hat[0] + ky * a_hat[1] + kz * a_hat[2])
     mag = np.sqrt(ws.k2) * np.sqrt(np.sum(np.abs(a_hat) ** 2, axis=0))
     scale = float(mag.max())
     if scale == 0.0:
@@ -248,51 +327,92 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     The exact exponential is exp(Y) with the anti-Hermitian generator
     Y = (tau q / 2M)(A.grad + div(A .)); it is applied as the 2nd-order
     polynomial I + Y + Y^2/2, unitary to O(|Y|^3).  With |Y| ~ 1e-4 per
-    half step this keeps norm drift far below 1e-12.
+    step this keeps norm drift far below 1e-12.
     """
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
     n = ws.spec.n
     stack = np.empty((4, n, n, n), dtype=complex)
 
     def apply_y(phi):
+        # [phi, A phi] -> spectra -> [div(A phi), grad phi], in place
         stack[0] = phi
         np.multiply(a_field, phi[None, ...], out=stack[1:])
-        stack_hat = ws.fftn(stack, overwrite=True)
-        out_hat = np.empty_like(stack_hat)
-        np.multiply(1j * ws.k_grad, stack_hat[0][None, ...], out=out_hat[:3])   # grad psi
-        out_hat[3] = 1j * np.einsum("i...,i...->...", ws.k_grad, stack_hat[1:])  # div(A psi)
-        out = ws.ifftn(out_hat, overwrite=True)
-        acc = np.einsum("i...,i...->...", a_field, out[:3])
+        hat = ws.fftn(stack, overwrite=True)
+        ikx, iky, ikz = ws.ik_grad_axes
+        div = ikx * hat[1]
+        div += iky * hat[2]
+        div += ikz * hat[3]
+        ws.gradient_hat(hat[0], out=hat[1:])
+        hat[0] = div
+        out = ws.ifftn(hat, overwrite=True)
+        np.multiply(a_field, out[1:], out=out[1:])
+        acc = out[0] + out[1]
+        acc += out[2]
         acc += out[3]
         acc *= coeff
         return acc
 
     y1 = apply_y(psi)
     y2 = apply_y(y1)
-    return psi + y1 + 0.5 * y2
+    y1 += psi
+    y2 *= 0.5
+    y1 += y2
+    return y1
 
 
 def _potential_factor(ws: _Workspace, psi, a_field, tau):
     """Evolve for time tau under the A-dependent factor: A^2 phase, then the
-    mixed term."""
+    mixed term.
+
+    Raises TimestepTooLargeError when the bound
+    ||Y|| <= 2 |tau q / 2M| max|A| |k_grad|_max on the mixed generator
+    exceeds MIXED_GENERATOR_LIMIT (or is not finite), where the polynomial
+    applied by _apply_mixed is no longer unitary to roundoff.
+    """
     a2 = np.sum(a_field**2, axis=0)
+    y_bound = abs(tau * ws.charge / ws.spec.particle.mass) * math.sqrt(
+        float(a2.max())) * ws.k_grad_max
+    if not y_bound <= MIXED_GENERATOR_LIMIT:
+        raise TimestepTooLargeError(
+            f"dt = {tau:.3e} s: mixed-term generator bound {y_bound:.3e} "
+            f"exceeds {MIXED_GENERATOR_LIMIT:.0e}")
     phase = np.exp(-1j * tau * ws.charge**2 * a2 / (
         2.0 * ws.spec.particle.mass * CONST.hbar))
-    return _apply_mixed(ws, phase * psi, a_field, tau)
+    phase *= psi
+    return _apply_mixed(ws, phase, a_field, tau)
 
 
 def _kinetic(ws: _Workspace, psi, dt):
     return ws.ifftn(ws.kinetic_phase(dt) * ws.fftn(psi), overwrite=True)
 
 
+@dataclass
+class _Fsal:
+    """First-same-as-last hand-over between consecutive coupled steps.
+
+    psi_hat: fftn of psi after the previous step's field factor, whose
+        trailing half kinetic factor is still due; None starts the step
+        from state.psi.
+    close: finish the step in real space (a record or the run's end is
+        due); otherwise the step leaves its trailing half kinetic factor
+        in psi_hat and returns psi = None.
+    """
+
+    psi_hat: np.ndarray | None = None
+    close: bool = True
+
+
 def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
-         a2_history: deque | None = None) -> GridState:
+         a2_history: deque | None = None, *,
+         fsal: _Fsal | None = None) -> GridState:
     """Advance one dt: T(dt/2) . W(dt; A[psi_mid]) . T(dt/2) Strang step.
 
     The slaved field is refreshed from the midpoint psi (after the first
     half kinetic factor).  With coupling off the step is the exact spectral
     kinetic factor.  If a2_history is given, int A^2 d3r of the midpoint
-    field is appended (feeds the d^2/dt^2 diagnostic term).
+    field is appended (feeds the d^2/dt^2 diagnostic term).  fsal chains
+    coupled steps inside evolve (see _Fsal); without it the step is the
+    full Strang step.
     """
     _check_timestep(spec)
     if ws is None:
@@ -304,28 +424,26 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         return GridState(psi=psi, a_field=state.a_field, t=state.t + spec.dt)
 
     half_kin = ws.kinetic_phase(0.5 * spec.dt)
-    psi_hat_mid = half_kin * ws.fftn(state.psi)
-
-    # midpoint state and its gradient in one batched transform
-    n = spec.n
-    stack_hat = np.empty((4, n, n, n), dtype=complex)
-    stack_hat[0] = psi_hat_mid
-    np.multiply(1j * ws.k_grad, psi_hat_mid[None, ...], out=stack_hat[1:])
-    stack = ws.ifftn(stack_hat, overwrite=True)
-    psi_mid, grad = stack[0], stack[1:]
-    j = (ws.charge * CONST.hbar / ws.spec.particle.mass) * np.imag(
-        np.conj(psi_mid)[None, ...] * grad)
-    if spec.include_diagonal_na:
-        j = j - (ws.charge**2 / spec.particle.mass) * (
-            np.abs(psi_mid) ** 2)[None, ...] * state.a_field
-    a_hat = ws.vector_potential_hat(ws.fftn(j))
-    a_mid = np.real(ws.ifftn(a_hat, overwrite=True))
+    psi_hat = None
+    if fsal is not None:
+        psi_hat, fsal.psi_hat = fsal.psi_hat, None
+    if psi_hat is None:
+        psi_hat = ws.fftn(state.psi)
+    else:
+        psi_hat *= half_kin    # the previous step's trailing factor
+    psi_hat *= half_kin
+    psi_mid, a_mid = ws.solve_a(psi_hat, a_prev=state.a_field)
     if a2_history is not None:
         a2_history.append(ws.integral(np.sum(a_mid**2, axis=0)))
 
     psi = _potential_factor(ws, psi_mid, a_mid, spec.dt)
-    psi = ws.ifftn(half_kin * ws.fftn(psi, overwrite=True), overwrite=True)
-    return GridState(psi=psi, a_field=a_mid, t=state.t + spec.dt)
+    psi_hat = ws.fftn(psi, overwrite=True)
+    t = state.t + spec.dt
+    if fsal is not None and not fsal.close:
+        fsal.psi_hat = psi_hat
+        return GridState(psi=None, a_field=a_mid, t=t)
+    psi_hat *= half_kin
+    return GridState(psi=ws.ifftn(psi_hat, overwrite=True), a_field=a_mid, t=t)
 
 
 @dataclass(frozen=True)
@@ -366,9 +484,10 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     dv_k = ws.dv / n3
 
     norm = ws.integral(np.abs(psi) ** 2)
-    kinetic = dv_k * float(np.sum(ws.kin_omega * np.abs(psi_hat) ** 2)) * CONST.hbar
+    weight = np.abs(psi_hat) ** 2
+    kinetic = dv_k * float(np.sum(ws.kin_omega * weight)) * CONST.hbar
     p_matter = CONST.hbar * dv_k * np.array(
-        [float(np.sum(ws.k_grad[i] * np.abs(psi_hat) ** 2)) for i in range(3)])
+        [float(np.sum(kg * weight)) for kg in ws.k_grad_axes])
 
     if not spec.coupling:
         return DiagnosticsRecord(
@@ -378,23 +497,19 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
             field_energy=0.0, current_dot_e=0.0)
 
     # slaved field and interaction energy
-    a_prev = state.a_field if spec.include_diagonal_na else None
-    grad = ws.ifftn(1j * ws.k_grad * psi_hat[None, ...])
-    j_can = (ws.charge * CONST.hbar / spec.particle.mass) * np.imag(
-        np.conj(psi)[None, ...] * grad)
-    j_src = j_can
-    if spec.include_diagonal_na and a_prev is not None:
-        j_src = j_can - (ws.charge**2 / spec.particle.mass) * (
-            np.abs(psi) ** 2)[None, ...] * a_prev
+    grad = ws.ifftn(ws.gradient_hat(psi_hat), overwrite=True)
+    j_can = ws.current(psi, grad)
+    j_src = ws.current(psi, grad, a_field=state.a_field) \
+        if spec.include_diagonal_na else j_can
     j_hat = ws.fftn(j_src)
     a_hat = ws.vector_potential_hat(j_hat)
     a_field = np.real(ws.ifftn(a_hat))
     interaction = -0.5 * ws.integral(np.sum(j_can * a_field, axis=0))
 
     # E_perp from the instantaneous current derivative (no history needed)
-    h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field)
+    h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field, grad)
     h_hat = ws.fftn(h_psi)
-    grad_h = ws.ifftn(1j * ws.k_grad * h_hat[None, ...])
+    grad_h = ws.ifftn(ws.gradient_hat(h_hat), overwrite=True)
     dj_dt = (ws.charge / spec.particle.mass) * (
         np.real(np.conj(h_psi)[None, ...] * grad)
         - np.real(np.conj(psi)[None, ...] * grad_h))
@@ -412,13 +527,17 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
     # momentum: field part eps0 sum_j int E_j grad A_j
     p_field = CONST.eps0 * dv_k * np.array([
-        float(np.real(np.sum(np.conj(e_hat[0]) * 1j * ws.k_grad[i] * a_hat[0]
-                             + np.conj(e_hat[1]) * 1j * ws.k_grad[i] * a_hat[1]
-                             + np.conj(e_hat[2]) * 1j * ws.k_grad[i] * a_hat[2])))
-        for i in range(3)])
+        float(np.real(np.sum(np.conj(e_hat[0]) * 1j * kg * a_hat[0]
+                             + np.conj(e_hat[1]) * 1j * kg * a_hat[1]
+                             + np.conj(e_hat[2]) * 1j * kg * a_hat[2])))
+        for kg in ws.k_grad_axes])
 
     # power balance: d(field energy)/dt + int j.E should vanish
-    b_hat = np.cross(1j * ws.k_grad, a_hat, axisa=0, axisb=0, axisc=0)
+    ikx, iky, ikz = ws.ik_grad_axes
+    b_hat = np.empty_like(a_hat)
+    b_hat[0] = iky * a_hat[2] - ikz * a_hat[1]
+    b_hat[1] = ikz * a_hat[0] - ikx * a_hat[2]
+    b_hat[2] = ikx * a_hat[1] - iky * a_hat[0]
     field_energy = 0.5 * CONST.eps0 * dv_k * (
         float(np.sum(np.abs(e_hat) ** 2))
         + CONST.c**2 * float(np.sum(np.abs(b_hat) ** 2)))
@@ -439,13 +558,15 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         current_dot_e=current_dot_e)
 
 
-def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field):
-    """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M."""
+def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
+    """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
+    grad psi in real space."""
     kin = ws.ifftn(ws.kin_omega * CONST.hbar * psi_hat)
     stack = a_field * psi[None, ...]
     stack_hat = ws.fftn(stack)
-    div_apsi = ws.ifftn(1j * np.sum(ws.k_grad * stack_hat, axis=0))
-    grad = ws.ifftn(1j * ws.k_grad * psi_hat[None, ...])
+    ikx, iky, ikz = ws.ik_grad_axes
+    div_apsi = ws.ifftn(ikx * stack_hat[0] + iky * stack_hat[1]
+                        + ikz * stack_hat[2], overwrite=True)
     a_grad = np.sum(a_field * grad, axis=0)
     mixed = (1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass)) * (
         a_grad + div_apsi)
@@ -474,8 +595,13 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
            record_stride: int = 1) -> Trajectory:
     """Run n_steps of evolution, recording diagnostics every record_stride.
 
-    Records always include t = 0 and the final step.  Deterministic:
-    identical inputs produce bit-identical trajectories.
+    Records always include t = 0 and the final step.  Between records the
+    coupled steps are chained first-same-as-last: each fuses its trailing
+    half kinetic factor with the next step's leading one, so psi stays in
+    Fourier space.  Every record restarts the chain from real-space psi,
+    which makes a run resumed from a snapshot of a recorded state
+    bit-identical to the uninterrupted run with the same stride.
+    Deterministic: identical inputs produce bit-identical trajectories.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -488,10 +614,12 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
                            step_index=0)]
     prev_power = (records[0].t, records[0].field_energy, records[0].current_dot_e)
 
+    fsal = _Fsal()
     current = state
     for k in range(1, n_steps + 1):
-        current = step(current, spec, ws=ws, a2_history=a2_history)
-        if k % record_stride == 0 or k == n_steps:
+        fsal.close = k % record_stride == 0 or k == n_steps
+        current = step(current, spec, ws=ws, a2_history=a2_history, fsal=fsal)
+        if fsal.close:
             rec = diagnostics(current, spec, ws=ws, a2_history=a2_history,
                               prev_power=prev_power, step_index=k)
             records.append(rec)

@@ -235,6 +235,18 @@ def test_evolve_grid_mismatch_is_numeric_error(capsys, tmp_path):
     assert "resolution" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--particle", "electron", "--beta", "0.1"],
+    ["evolve", "--particle", "electron", "--b", "3e-11", "--n", "32",
+     "--box", "2.4e-10", "--dt", "2e-19", "--steps", "1"],
+], ids=["sweep", "evolve"])
+def test_thread_count_not_an_integer_is_config_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SELFFIELD_THREADS", "abc")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert "SELFFIELD_THREADS" in err
+
+
 # --- validate --------------------------------------------------------------------
 
 def test_validate_report(tmp_path, capsys):

@@ -3,16 +3,20 @@ stepping, diagnostics, trajectories, and snapshot serialization."""
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from selffield import dynamics
 from selffield.errors import GridMismatchError, TimestepTooLargeError
 from selffield.scales import CONST, ELECTRON, ParticleSpec
 from selffield.wavepacket import GaussianPacket
-from selffield.dynamics import (GridSpec, GridState, _Workspace, diagnostics,
-                                evolve, init_grid, load_snapshot,
-                                save_snapshot, solve_vector_potential, step,
+from selffield.dynamics import (GridSpec, GridState, _potential_factor,
+                                _Workspace, diagnostics, evolve, init_grid,
+                                load_snapshot, save_snapshot,
+                                solve_vector_potential, step,
                                 transversality_residual)
 
 B_TEST = 3e-11
@@ -179,6 +183,47 @@ def test_solve_field_box_convergence_toward_free_space():
     assert errors[1] < 0.05
 
 
+def _seed_field_path(spec, psi, a_prev=None):
+    """Reference: the full-spectrum field solve with (3, n, n, n) meshgrid
+    wavenumbers and a two-pass transverse projection."""
+    n, axes = spec.n, (-3, -2, -1)
+    k1 = 2.0 * math.pi * sfft.fftfreq(n, d=spec.dx)
+    k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))
+    k2 = np.sum(k**2, axis=0)
+    inv_k2 = np.zeros_like(k2)
+    inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
+    k_grad = k.copy()
+    for axis in range(3):
+        idx = [slice(None)] * 3
+        idx[axis] = n // 2
+        inv_k2[tuple(idx)] = 0.0
+        k_grad[(axis,) + tuple(idx)] = 0.0
+    grad = sfft.ifftn(1j * k_grad * sfft.fftn(psi, axes=axes)[None, ...], axes=axes)
+    j = (ELECTRON.charge * CONST.hbar / ELECTRON.mass) * np.imag(
+        np.conj(psi)[None, ...] * grad)
+    if a_prev is not None:
+        j = j - (ELECTRON.charge**2 / ELECTRON.mass) * (
+            np.abs(psi) ** 2)[None, ...] * a_prev
+    j_hat = sfft.fftn(j, axes=axes)
+    for _ in range(2):
+        k_dot = np.sum(k * j_hat, axis=0)
+        j_hat = j_hat - k * (k_dot * inv_k2)[None, ...]
+    a_hat = j_hat * (inv_k2 / (CONST.eps0 * CONST.c**2))[None, ...]
+    return np.real(sfft.ifftn(a_hat, axes=axes))
+
+
+@pytest.mark.parametrize("diagonal_na", [False, True])
+def test_half_spectrum_field_matches_full_spectrum_path(diagonal_na):
+    spec = GridSpec(n=32, box=8 * B_TEST, dt=2e-19, particle=ELECTRON,
+                    include_diagonal_na=diagonal_na)
+    state = init_grid(spec, packet())
+    a = solve_vector_potential(state, spec)
+    a_ref = _seed_field_path(spec, state.psi,
+                             state.a_field if diagonal_na else None)
+    assert np.abs(a - a_ref).max() / np.abs(a_ref).max() < 1e-13
+    assert transversality_residual(a, spec) < 1e-10
+
+
 # --- stepping -------------------------------------------------------------------
 
 def test_timestep_guard():
@@ -186,6 +231,18 @@ def test_timestep_guard():
     state = init_grid(small_spec(), packet())
     with pytest.raises(TimestepTooLargeError):
         step(state, spec)
+
+
+def test_mixed_term_guard():
+    # the acceptance configurations bound the mixed generator near 6e-5;
+    # a field 1e3 times stronger pushes the bound past 1e-2
+    spec = small_spec()
+    state = init_grid(spec, packet())
+    ws = _Workspace(spec)
+    out = _potential_factor(ws, state.psi, 100.0 * state.a_field, spec.dt)
+    assert np.all(np.isfinite(out))
+    with pytest.raises(TimestepTooLargeError, match="mixed-term"):
+        _potential_factor(ws, state.psi, 1e3 * state.a_field, spec.dt)
 
 
 def test_plane_wave_phase_advance_exact():
@@ -353,6 +410,76 @@ def test_evolve_deterministic():
         assert np.array_equal(r1.momentum, r2.momentum)
 
 
+def test_fused_evolve_matches_single_steps():
+    # evolve chains steps first-same-as-last between records; a chain of
+    # plain Strang steps is the reference
+    spec = small_spec()
+    state = init_grid(spec, packet())
+    n_steps, stride = 20, 5
+    fused = evolve(state, spec, n_steps, record_stride=stride)
+
+    ws = _Workspace(spec)
+    history = deque(maxlen=3)
+    ref = [diagnostics(state, spec, ws=ws, a2_history=history)]
+    current = state
+    for k in range(1, n_steps + 1):
+        current = step(current, spec, ws=ws, a2_history=history)
+        if k % stride == 0:
+            prev = (ref[-1].t, ref[-1].field_energy, ref[-1].current_dot_e)
+            ref.append(diagnostics(current, spec, ws=ws, a2_history=history,
+                                   prev_power=prev, step_index=k))
+
+    for got, want in ((fused.final_state.psi, current.psi),
+                      (fused.final_state.a_field, current.a_field)):
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-13
+    assert len(fused.records) == len(ref)
+    for got, want in zip(fused.records, ref):
+        p_scale = np.linalg.norm(want.momentum)
+        assert got.step == want.step
+        assert abs(got.norm - want.norm) < 1e-12
+        assert abs(got.energy - want.energy) / abs(want.energy) < 1e-12
+        assert abs(got.momentum[2] - want.momentum[2]) / p_scale < 1e-12
+
+
+def test_transform_counts_per_step_and_record(monkeypatch):
+    # n^3 transforms per call: a fused interior coupled step makes 21
+    # complex and 6 half-size real ones, a record 25 complex ones
+    calls = []
+
+    def count(method, kind):
+        original = getattr(_Workspace, method)
+
+        def wrapper(self, a, *args, **kwargs):
+            calls[-1][1][kind] += math.prod(a.shape[:-3])
+            return original(self, a, *args, **kwargs)
+        monkeypatch.setattr(_Workspace, method, wrapper)
+
+    def phase(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, {"complex": 0, "real": 0}))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, wrapper)
+
+    spec = small_spec()
+    state = init_grid(spec, packet())
+    for method, kind in (("fftn", "complex"), ("ifftn", "complex"),
+                         ("rfftn", "real"), ("irfftn", "real")):
+        count(method, kind)
+    phase("step")
+    phase("diagnostics")
+    evolve(state, spec, 6, record_stride=6)
+
+    steps = [c for name, c in calls if name == "step"]
+    records = [c for name, c in calls if name == "diagnostics"]
+    assert len(steps) == 6 and len(records) == 2
+    for c in steps[1:-1]:
+        assert c["complex"] <= 21 and c["real"] <= 6
+    for c in records:
+        assert c["complex"] <= 25 and c["real"] == 0
+
+
 # --- snapshots -----------------------------------------------------------------------
 
 def test_snapshot_roundtrip_bitwise(tmp_path):
@@ -418,4 +545,24 @@ def test_restart_reproduces_trajectory(tmp_path):
         b = tail.records[offset]
         assert a.energy == b.energy
         assert a.norm == b.norm
+        assert np.array_equal(a.momentum, b.momentum)
+
+
+def test_restart_at_record_bit_identical_with_fused_steps(tmp_path):
+    # stride 3: steps between records are fused, and every record restarts
+    # the chain from real-space psi, so resuming at a record changes nothing
+    spec = small_spec()
+    full = evolve(init_grid(spec, packet()), spec, 12, record_stride=3)
+
+    head = evolve(init_grid(spec, packet()), spec, 6, record_stride=3)
+    path = tmp_path / "mid.snap"
+    save_snapshot(head.final_state, spec, path)
+    loaded, spec2 = load_snapshot(path)
+    tail = evolve(loaded, spec2, 6, record_stride=3)
+
+    assert np.array_equal(tail.final_state.psi, full.final_state.psi)
+    assert np.array_equal(tail.final_state.a_field, full.final_state.a_field)
+    # records past the 3-step a2 history re-seed match exactly
+    for a, b in zip(full.records[3:], tail.records[1:]):
+        assert a.energy == b.energy
         assert np.array_equal(a.momentum, b.momentum)

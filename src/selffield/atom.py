@@ -8,8 +8,9 @@ electron cloud of radius gamma.  The charge form factor
 
 vanishes at q = 0 (neutrality), and the electrostatic energy interpolates
 between zero (delocalized, b >> gamma) and the bare-nucleus value
-(b << gamma).  Centre-of-mass localization reuses the charged-particle
-machinery with the screened attraction.
+(b << gamma).  The screened energy is not of the form K/b^2 - C/b, so
+centre-of-mass localization keeps a bracketed bounded search, seeded by the
+bare-nucleus closed form and polished by Newton steps.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ ATOM_PRESETS = {"H": hydrogen_atom, "He": helium_atom}
 
 def atom_charge_density_fourier(a: NeutralAtom, b: float, q: float) -> float:
     """Charge form factor Z e exp(-b^2 q^2) [1 - exp(-gamma^2 q^2)] (C)."""
-    if b <= 0.0:
-        raise ValueError("centre-of-mass width b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("centre-of-mass width b must be positive and finite")
     if q < 0.0:
         raise ValueError("wavenumber q must be non-negative")
     screening = -math.expm1(-(a.gamma * q) ** 2)
@@ -108,16 +109,16 @@ def atom_electrostatic_energy(a: NeutralAtom, b: float) -> float:
     bare-nucleus 1/b form is recovered for b << gamma and the energy
     vanishes as (b/gamma)^-5 ... 0 for b >> gamma.
     """
-    if b <= 0.0:
-        raise ValueError("centre-of-mass width b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("centre-of-mass width b must be positive and finite")
     return _energy_prefactor(a) * screened_bracket(b, a.gamma)
 
 
 def atom_electrostatic_energy_quadrature(a: NeutralAtom, b: float) -> float:
     """Quadrature twin: (Z e)^2/(4 pi^2 eps0) int exp(-2 b^2 q^2)
     [1 - exp(-gamma^2 q^2)]^2 dq, in u = q*b."""
-    if b <= 0.0:
-        raise ValueError("centre-of-mass width b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("centre-of-mass width b must be positive and finite")
     ratio_sq = (a.gamma / b) ** 2
 
     def integrand(u):
@@ -142,7 +143,7 @@ def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
     beta refers to the centre-of-mass velocity.  When screening wins (no
     interior minimum with positive depth) a NoLocalizationError is raised.
     """
-    if beta >= 1.0 or beta < 0.0:
+    if not 0.0 <= beta < 1.0:
         raise InvalidVelocityError(f"beta = {beta} outside [0, 1)")
     if beta == 0.0:
         raise NoLocalizationError("no localization at beta = 0")
@@ -199,5 +200,4 @@ def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
     lam = 2.0 * math.pi * CONST.hbar / (a.mass_total * beta * CONST.c)
     return LocalizationResult(
         b_star=b_star, binding_energy=depth, beta=beta, particle=neutral,
-        mode=BudgetMode.PAPER_QUOTED, b_over_de_broglie=b_star / lam,
-        bracket_used=(lo, hi))
+        mode=BudgetMode.PAPER_QUOTED, b_over_de_broglie=b_star / lam)

@@ -1,11 +1,13 @@
 """Command-line front door: energy budgets, minimization, sweeps, atoms,
 grid evolution, and the self-validation suite.
 
-Exit codes: 0 success, 2 configuration/schema error, 3 numeric failure
-(bracket failure, no minimum, ...), 4 I/O error.  Outputs are deterministic:
-identical configs produce byte-identical CSV/JSON, all numerics are written
-with 12 significant digits, and each output file gets a .meta.json sidecar
-recording the constants version, mode, and tool version.
+Exit codes: 0 success, 2 configuration/schema error or an input that fails
+its range check (negative, NaN or infinite width, unknown mode, ...),
+3 numeric failure (no minimum, no localization, grid mismatch, ...), 4 I/O
+error.  Outputs are deterministic: identical configs produce byte-identical
+CSV/JSON, all numerics are written with 12 significant digits, and each
+output file gets a .meta.json sidecar recording the constants version,
+mode, and tool version.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def cmd_sweep(args) -> int:
     particle = _parse_particle(args)
     mode = BudgetMode.parse(args.mode)
     grid = parse_beta_grid(args.beta)
-    rows = sweep(particle, grid, mode, max_workers=_fft_workers())
+    rows = sweep(particle, grid, mode)
     if args.format == "json":
         text = json.dumps([_round12(r.to_dict()) for r in rows], sort_keys=True)
     else:
@@ -353,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_CONFIG
+        _fft_workers()   # a malformed SELFFIELD_THREADS fails every subcommand
         return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write(f"selffield: config error: {exc}\n")
@@ -360,6 +363,10 @@ def main(argv: list[str] | None = None) -> int:
     except SelfFieldError as exc:
         sys.stderr.write(f"selffield: {exc}\n")
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # the package's input checks (widths, grid sizes, modes, ...)
+        sys.stderr.write(f"selffield: invalid input: {exc}\n")
+        return EXIT_CONFIG
     except OSError as exc:
         sys.stderr.write(f"selffield: I/O error: {exc}\n")
         return EXIT_IO

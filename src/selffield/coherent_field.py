@@ -96,11 +96,6 @@ def _radial_i2(p: GaussianPacket) -> float:
     return val / p.b
 
 
-def electrostatic_energy_quadrature(p: GaussianPacket) -> float:
-    """E_el = (Z e)^2 / (4 pi^2 eps0) * int rho_hat^2 dq, quadrature path (J)."""
-    return p.particle.charge**2 / (4.0 * math.pi**2 * CONST.eps0) * _radial_i2(p)
-
-
 def mean_vector_potential(p: GaussianPacket) -> np.ndarray:
     """Packet-averaged vector potential <A> = int rho A d3r (V s/m).
 

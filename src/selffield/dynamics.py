@@ -13,9 +13,10 @@ The real current and field pass through the half spectrum (rfftn/irfftn).
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
 exact for a Strang split and saves one inverse and one forward transform of
-psi per step.  At every record the chain restarts from real-space psi, so a
-run resumed from a snapshot taken at a record is bit-identical to the
-uninterrupted run.
+psi per step; with coupling off, psi then stays in Fourier space from one
+record to the next.  At every record the chain restarts from real-space
+psi, so a run resumed from a snapshot taken at a record is bit-identical to
+the uninterrupted run.
 
 Monitored invariants: norm, the conserved energy in the form
 kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
@@ -48,8 +49,8 @@ MIXED_GENERATOR_LIMIT = 1e-2
 
 
 def _fft_workers() -> int:
-    """Thread count for FFTs and the sweep pool: SELFFIELD_THREADS, else the
-    core count capped at 8."""
+    """Thread count for FFTs: SELFFIELD_THREADS, else the core count capped
+    at 8."""
     env = os.environ.get("SELFFIELD_THREADS", "").strip()
     if env:
         try:
@@ -382,17 +383,13 @@ def _potential_factor(ws: _Workspace, psi, a_field, tau):
     return _apply_mixed(ws, phase, a_field, tau)
 
 
-def _kinetic(ws: _Workspace, psi, dt):
-    return ws.ifftn(ws.kinetic_phase(dt) * ws.fftn(psi), overwrite=True)
-
-
 @dataclass
 class _Fsal:
-    """First-same-as-last hand-over between consecutive coupled steps.
+    """First-same-as-last hand-over between consecutive steps.
 
-    psi_hat: fftn of psi after the previous step's field factor, whose
-        trailing half kinetic factor is still due; None starts the step
-        from state.psi.
+    psi_hat: fftn of psi after the previous step's field factor (skipped
+        with coupling off), whose trailing half kinetic factor is still
+        due; None starts the step from state.psi.
     close: finish the step in real space (a record or the run's end is
         due); otherwise the step leaves its trailing half kinetic factor
         in psi_hat and returns psi = None.
@@ -408,21 +405,15 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     """Advance one dt: T(dt/2) . W(dt; A[psi_mid]) . T(dt/2) Strang step.
 
     The slaved field is refreshed from the midpoint psi (after the first
-    half kinetic factor).  With coupling off the step is the exact spectral
-    kinetic factor.  If a2_history is given, int A^2 d3r of the midpoint
-    field is appended (feeds the d^2/dt^2 diagnostic term).  fsal chains
-    coupled steps inside evolve (see _Fsal); without it the step is the
-    full Strang step.
+    half kinetic factor).  With coupling off the field factor W is skipped
+    and A is carried over unchanged.  If a2_history is given, int A^2 d3r
+    of the midpoint field (0 with coupling off) is appended (feeds the
+    d^2/dt^2 diagnostic term).  fsal chains steps inside evolve (see
+    _Fsal); without it the step is the full Strang step.
     """
     _check_timestep(spec)
     if ws is None:
         ws = _Workspace(spec)
-    if not spec.coupling:
-        psi = _kinetic(ws, state.psi, spec.dt)
-        if a2_history is not None:
-            a2_history.append(0.0)
-        return GridState(psi=psi, a_field=state.a_field, t=state.t + spec.dt)
-
     half_kin = ws.kinetic_phase(0.5 * spec.dt)
     psi_hat = None
     if fsal is not None:
@@ -432,12 +423,16 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     else:
         psi_hat *= half_kin    # the previous step's trailing factor
     psi_hat *= half_kin
-    psi_mid, a_mid = ws.solve_a(psi_hat, a_prev=state.a_field)
-    if a2_history is not None:
-        a2_history.append(ws.integral(np.sum(a_mid**2, axis=0)))
-
-    psi = _potential_factor(ws, psi_mid, a_mid, spec.dt)
-    psi_hat = ws.fftn(psi, overwrite=True)
+    if spec.coupling:
+        psi_mid, a_mid = ws.solve_a(psi_hat, a_prev=state.a_field)
+        if a2_history is not None:
+            a2_history.append(ws.integral(np.sum(a_mid**2, axis=0)))
+        psi = _potential_factor(ws, psi_mid, a_mid, spec.dt)
+        psi_hat = ws.fftn(psi, overwrite=True)
+    else:
+        a_mid = state.a_field
+        if a2_history is not None:
+            a2_history.append(0.0)
     t = state.t + spec.dt
     if fsal is not None and not fsal.close:
         fsal.psi_hat = psi_hat
@@ -525,12 +520,11 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
     energy = kinetic + interaction + efield_energy + a2_term
 
-    # momentum: field part eps0 sum_j int E_j grad A_j
-    p_field = CONST.eps0 * dv_k * np.array([
-        float(np.real(np.sum(np.conj(e_hat[0]) * 1j * kg * a_hat[0]
-                             + np.conj(e_hat[1]) * 1j * kg * a_hat[1]
-                             + np.conj(e_hat[2]) * 1j * kg * a_hat[2])))
-        for kg in ws.k_grad_axes])
+    # momentum: field part eps0 sum_j int E_j grad A_j, i.e. the k-weighted
+    # sums of Re(conj(e_hat) . i a_hat) = Im(e_hat . conj(a_hat))
+    e_dot_a = np.imag(np.sum(e_hat * np.conj(a_hat), axis=0))
+    p_field = CONST.eps0 * dv_k * np.array(
+        [float(np.sum(kg * e_dot_a)) for kg in ws.k_grad_axes])
 
     # power balance: d(field energy)/dt + int j.E should vanish
     ikx, iky, ikz = ws.ik_grad_axes
@@ -596,11 +590,11 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
     """Run n_steps of evolution, recording diagnostics every record_stride.
 
     Records always include t = 0 and the final step.  Between records the
-    coupled steps are chained first-same-as-last: each fuses its trailing
-    half kinetic factor with the next step's leading one, so psi stays in
-    Fourier space.  Every record restarts the chain from real-space psi,
-    which makes a run resumed from a snapshot of a recorded state
-    bit-identical to the uninterrupted run with the same stride.
+    steps (coupled or not) are chained first-same-as-last: each fuses its
+    trailing half kinetic factor with the next step's leading one, so psi
+    stays in Fourier space.  Every record restarts the chain from
+    real-space psi, which makes a run resumed from a snapshot of a recorded
+    state bit-identical to the uninterrupted run with the same stride.
     Deterministic: identical inputs produce bit-identical trajectories.
     """
     if n_steps < 1:

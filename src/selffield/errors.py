@@ -35,10 +35,6 @@ class NoLocalizationError(SelfFieldError):
     """Screened-atom functional is non-binding: no localization minimum exists."""
 
 
-class BracketFailureError(SelfFieldError):
-    """1D minimizer could not bracket an interior minimum after expansion."""
-
-
 class GridMismatchError(SelfFieldError):
     """Packet does not fit the grid (resolution or box-size constraint violated)."""
 

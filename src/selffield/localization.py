@@ -6,10 +6,11 @@ its minimum at
     b* = (9 sqrt(pi) / 4 sqrt(2)) beta^-2 * a_B-like
     E_b = (4 / 27 pi) beta^4 * E_Rydberg-like
 
-and b*/lambda_deBroglie is independent of the particle mass.  The minimizer
-here is a bracketed derivative-free descent seeded by the closed form, with
-a Newton polish on the analytic derivative so virial-level identities hold
-to ~1e-12.
+and b*/lambda_deBroglie is independent of the particle mass.  Both budget
+modes keep this form (ASSEMBLED only weakens C by the beta^4 field term), so
+the minimizer is closed form: K and C are read off the energy budget at the
+closed-form width, b* = 2K/C and the depth is C^2/4K, evaluated as minus
+the objective at b*.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
-from .errors import (BracketFailureError, InvalidVelocityError, NoMinimumError)
-from .scales import CONST, ELECTRON, EV, ParticleSpec, derived_scales
+from .errors import InvalidVelocityError, NoMinimumError
+from .scales import ELECTRON, EV, ParticleSpec, derived_scales
 from .energy_budget import BudgetMode, localization_objective
-from .wavepacket import GaussianPacket
+from .wavepacket import GaussianPacket, internal_kinetic_energy
 
 # closed-form radius prefactor (9 sqrt(pi) / 4 sqrt(2)) and binding prefactor
 RADIUS_PREFACTOR = 9.0 * math.sqrt(math.pi) / (4.0 * math.sqrt(2.0))
@@ -43,7 +42,6 @@ class LocalizationResult:
     particle: ParticleSpec
     mode: BudgetMode
     b_over_de_broglie: float
-    bracket_used: tuple[float, float]
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +67,7 @@ def closed_form_binding(p: ParticleSpec, beta: float) -> float:
 
 
 def _check_beta(beta: float):
-    if beta >= 1.0 or beta < 0.0:
+    if not 0.0 <= beta < 1.0:
         raise InvalidVelocityError(f"beta = {beta} outside [0, 1)")
     if beta == 0.0:
         raise NoMinimumError("functional is monotone at beta = 0: no localization")
@@ -78,80 +76,33 @@ def _check_beta(beta: float):
                       "longer small; results are indicative only", stacklevel=3)
 
 
-def _objective(p: ParticleSpec, beta: float, mode: BudgetMode):
-    def f(b):
-        return localization_objective(GaussianPacket(b=b, particle=p, beta=beta), mode)
-    return f
-
-
-def _objective_derivative(p: ParticleSpec, beta: float, mode: BudgetMode):
-    """Analytic d/db of K/b^2 - C_eff/b (both terms are closed-form Gaussian)."""
-    kinetic_k = 3.0 * CONST.hbar**2 / (16.0 * p.mass)
-    e_el_coeff = (p.z * CONST.e_charge) ** 2 / (
-        8.0 * math.sqrt(2.0) * math.pi**1.5 * CONST.eps0)
-    attraction = 2.0 / 3.0 * beta**2
-    if mode is BudgetMode.ASSEMBLED:
-        attraction -= 4.0 / 15.0 * beta**4
-    c_eff = attraction * e_el_coeff
-
-    def fprime(b):
-        return -2.0 * kinetic_k / b**3 + c_eff / b**2
-
-    return fprime
-
-
 def minimize_radius(p: ParticleSpec, beta: float,
                     mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> LocalizationResult:
-    """Minimize the localization energy over b.
+    """Minimize the localization energy K/b^2 - C/b over b, in closed form.
 
-    Bracketed bounded descent (relative b-tolerance 1e-10) around the
-    closed-form seed, bracket [0.1, 10] x seed expanding x8 up to 5 times,
-    followed by two Newton steps on the analytic derivative.
+    K and C are read off the budget at the closed-form width seed (which is
+    the minimizer in PAPER_QUOTED mode), where neither reading loses digits
+    to cancellation; then b* = 2K/C and depth = -objective(b*).
     """
     if p.z == 0:
         raise ValueError("charged-particle minimization needs z != 0; use the atom module")
     _check_beta(beta)
 
     seed = closed_form_radius(p, beta)
-    f = _objective(p, beta, mode)
-    fprime = _objective_derivative(p, beta, mode)
-
-    lo, hi = 0.1 * seed, 10.0 * seed
-    for _ in range(6):
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10 * seed, "maxiter": 500})
-        b_star = float(res.x)
-        margin = 1e-6 * (hi - lo)
-        if (b_star - lo) > margin and (hi - b_star) > margin:
-            break
-        lo, hi = lo / 8.0, hi * 8.0
-    else:
-        raise BracketFailureError(
-            f"no interior minimum in [{lo:.3e}, {hi:.3e}] m for beta={beta}, "
-            f"particle {p.label or p.z}")
-
-    # Newton polish: the objective is K/b^2 - C/b, so two steps reach
-    # machine accuracy from the bracketed estimate.
-    for _ in range(3):
-        d1 = fprime(b_star)
-        h = 1e-7 * b_star
-        d2 = (fprime(b_star + h) - fprime(b_star - h)) / (2.0 * h)
-        if d2 <= 0.0:
-            break
-        step = d1 / d2
-        if abs(step) > 0.5 * b_star:
-            break
-        b_star -= step
-
-    depth = -f(b_star)
-    if depth <= 0.0:
+    at_seed = GaussianPacket(b=seed, particle=p, beta=beta)
+    kinetic = internal_kinetic_energy(at_seed)
+    k_coeff = kinetic * seed**2
+    c_coeff = (kinetic - localization_objective(at_seed, mode)) * seed
+    if not c_coeff > 0.0:
         raise NoMinimumError(
             f"functional non-binding at beta={beta} for particle {p.label or p.z}")
 
+    b_star = 2.0 * k_coeff / c_coeff
+    depth = -localization_objective(GaussianPacket(b=b_star, particle=p, beta=beta), mode)
     lam = derived_scales(p, beta).de_broglie_length
     return LocalizationResult(
         b_star=b_star, binding_energy=depth, beta=beta, particle=p, mode=mode,
-        b_over_de_broglie=b_star / lam, bracket_used=(lo, hi))
+        b_over_de_broglie=b_star / lam)
 
 
 def scale_to_particle(res: LocalizationResult, z: int, mass: float,
@@ -172,9 +123,7 @@ def scale_to_particle(res: LocalizationResult, z: int, mass: float,
     lam = derived_scales(target, res.beta).de_broglie_length
     return LocalizationResult(
         b_star=b_new, binding_energy=binding_new, beta=res.beta, particle=target,
-        mode=res.mode, b_over_de_broglie=b_new / lam,
-        bracket_used=(res.bracket_used[0] * mass_ratio / z**2,
-                      res.bracket_used[1] * mass_ratio / z**2))
+        mode=res.mode, b_over_de_broglie=b_new / lam)
 
 
 def debroglie_ratio(p: ParticleSpec, beta: float) -> float:
@@ -209,35 +158,24 @@ class SweepRow:
 SWEEP_FIELDS = ("beta", "b_star_m", "binding_eV", "b_over_lambda", "mode", "status")
 
 
-def sweep(p: ParticleSpec, beta_grid, mode: BudgetMode = BudgetMode.PAPER_QUOTED,
-          max_workers: int | None = None) -> list[SweepRow]:
+def sweep(p: ParticleSpec, beta_grid,
+          mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> list[SweepRow]:
     """Minimize over a grid of beta values; one row per beta, input order.
 
-    Rows are independent and run in a thread pool; per-row failures become
-    row statuses (e.g. 'no-minimum') and never abort the sweep.
+    Per-row failures become row statuses ('no-minimum', 'invalid-velocity')
+    and never abort the sweep; the beta soft-limit warning is silenced.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    betas = [float(b) for b in beta_grid]
-    if not betas:
-        return []
-
-    def run_one(beta: float) -> SweepRow:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = minimize_radius(p, beta, mode)
-            return SweepRow(beta=beta, result=res, status="ok")
-        except NoMinimumError:
-            return SweepRow(beta=beta, result=None, status="no-minimum")
-        except InvalidVelocityError:
-            return SweepRow(beta=beta, result=None, status="invalid-velocity")
-        except BracketFailureError:
-            return SweepRow(beta=beta, result=None, status="bracket-failure")
-
-    workers = max(1, min(len(betas), max_workers or 4))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_one, betas))
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for beta in map(float, beta_grid):
+            try:
+                rows.append(SweepRow(beta=beta, result=minimize_radius(p, beta, mode),
+                                     status="ok"))
+            except NoMinimumError:
+                rows.append(SweepRow(beta=beta, result=None, status="no-minimum"))
+            except InvalidVelocityError:
+                rows.append(SweepRow(beta=beta, result=None, status="invalid-velocity"))
     return rows
 
 

@@ -50,8 +50,8 @@ class GaussianPacket:
     direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        if self.b <= 0.0:
-            raise ValueError("packet width b must be positive")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError("packet width b must be positive and finite")
         if not 0.0 <= self.beta < 1.0:
             raise InvalidVelocityError(f"beta = {self.beta} outside [0, 1)")
         object.__setattr__(self, "direction", _unit(self.direction))

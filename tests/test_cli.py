@@ -260,3 +260,64 @@ def test_validate_report(tmp_path, capsys):
     assert "localization-reference-values" in names
     for entry in report["entries"]:
         assert set(entry) == {"name", "passed", "residual", "tolerance"}
+
+
+# --- input range checks and golden outputs ---------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--particle", "electron", "--beta", "0.1", "--b", "-1"],
+    ["energy", "--particle", "electron", "--beta", "0.1", "--b", "nan"],
+    ["energy", "--particle", "electron", "--beta", "0.1", "--b", "inf"],
+    ["energy", "--particle", "electron", "--beta", "0.1", "--b", "1e-10",
+     "--mode", "foo"],
+    ["atom", "--atom", "H", "--b", "nan"],
+    ["evolve", "--particle", "electron", "--b", "3e-11", "--n", "48",
+     "--box", "2.4e-10", "--dt", "2e-19", "--steps", "1"],
+], ids=["b-negative", "b-nan", "b-inf", "mode-unknown", "atom-b-nan", "n-48"])
+def test_invalid_input_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("selffield: ")
+
+
+# stdout of the README examples, to the byte
+GOLDEN = [
+    (["minimize", "--particle", "electron", "--beta", "0.1"],
+     '{"b_over_lambda": 615.031356819, "b_star_m": 1.49225687716e-08, '
+     '"beta": 0.1, "binding_eV": 6.41603945888e-05, "mode": "PaperQuoted", '
+     '"particle": "electron"}\n'),
+    (["energy", "--particle", "electron", "--beta", "0.1", "--b", "5.29e-11",
+      "--mode", "Assembled"],
+     '{"a_squared_rate_eV": 0.0, "convective_eV": 2554.99475012, '
+     '"current_potential_eV": -0.036198030271, '
+     '"electrostatic_eV": 5.42970454065, '
+     '"internal_kinetic_eV": 5.10555383853, "mode": "Assembled", '
+     '"total_eV": 2560.06425072, '
+     '"transverse_field_eV": 0.000144792121084}\n'),
+    (["sweep", "--particle", "proton", "--beta", "0.05:0.25:0.05"],
+     "beta,b_star_m,binding_eV,b_over_lambda,mode,status\n"
+     "5.00000000000e-02,3.25083398370e-11,7.36301750156e-03,"
+     "1.23006271364e+03,PaperQuoted,ok\n"
+     "1.00000000000e-01,8.12708495926e-12,1.17808280025e-01,"
+     "6.15031356819e+02,PaperQuoted,ok\n"
+     "1.50000000000e-01,3.61203775967e-12,5.96404417627e-01,"
+     "4.10020904546e+02,PaperQuoted,ok\n"
+     "2.00000000000e-01,2.03177123981e-12,1.88493248040e+00,"
+     "3.07515678409e+02,PaperQuoted,ok\n"
+     "2.50000000000e-01,1.30033359348e-12,4.60188593848e+00,"
+     "2.46012542727e+02,PaperQuoted,ok\n"),
+    (["atom", "--atom", "H", "--beta", "0.1"],
+     '{"b_over_lambda": 625.254484219, "b_star_m": 8.25767710068e-12, '
+     '"beta": 0.1, "binding_eV": 0.0536497377005, '
+     '"gamma_m": 5.29177210241e-11, "mode": "PaperQuoted", '
+     '"particle": "H"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN,
+                         ids=["minimize", "energy", "sweep", "atom"])
+def test_readme_examples_golden_stdout(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == expected

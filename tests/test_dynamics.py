@@ -410,10 +410,10 @@ def test_evolve_deterministic():
         assert np.array_equal(r1.momentum, r2.momentum)
 
 
-def test_fused_evolve_matches_single_steps():
+def _check_fused_evolve_matches_single_steps(coupling):
     # evolve chains steps first-same-as-last between records; a chain of
     # plain Strang steps is the reference
-    spec = small_spec()
+    spec = small_spec(coupling=coupling)
     state = init_grid(spec, packet())
     n_steps, stride = 20, 5
     fused = evolve(state, spec, n_steps, record_stride=stride)
@@ -441,9 +441,18 @@ def test_fused_evolve_matches_single_steps():
         assert abs(got.momentum[2] - want.momentum[2]) / p_scale < 1e-12
 
 
-def test_transform_counts_per_step_and_record(monkeypatch):
+def test_fused_evolve_matches_single_steps():
+    _check_fused_evolve_matches_single_steps(coupling=True)
+
+
+def test_fused_evolve_matches_single_steps_uncoupled():
+    _check_fused_evolve_matches_single_steps(coupling=False)
+
+
+def _check_transform_counts(monkeypatch, coupling, step_complex, step_real):
     # n^3 transforms per call: a fused interior coupled step makes 21
-    # complex and 6 half-size real ones, a record 25 complex ones
+    # complex and 6 half-size real ones, an uncoupled one none, and a
+    # record at most 25 complex ones
     calls = []
 
     def count(method, kind):
@@ -462,7 +471,7 @@ def test_transform_counts_per_step_and_record(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, wrapper)
 
-    spec = small_spec()
+    spec = small_spec(coupling=coupling)
     state = init_grid(spec, packet())
     for method, kind in (("fftn", "complex"), ("ifftn", "complex"),
                          ("rfftn", "real"), ("irfftn", "real")):
@@ -475,9 +484,19 @@ def test_transform_counts_per_step_and_record(monkeypatch):
     records = [c for name, c in calls if name == "diagnostics"]
     assert len(steps) == 6 and len(records) == 2
     for c in steps[1:-1]:
-        assert c["complex"] <= 21 and c["real"] <= 6
+        assert c["complex"] <= step_complex and c["real"] <= step_real
     for c in records:
         assert c["complex"] <= 25 and c["real"] == 0
+
+
+def test_transform_counts_per_step_and_record(monkeypatch):
+    _check_transform_counts(monkeypatch, coupling=True,
+                            step_complex=21, step_real=6)
+
+
+def test_transform_counts_per_step_and_record_uncoupled(monkeypatch):
+    _check_transform_counts(monkeypatch, coupling=False,
+                            step_complex=0, step_real=0)
 
 
 # --- snapshots -----------------------------------------------------------------------

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from selffield.errors import InvalidVelocityError, NoMinimumError
 from selffield.scales import ELECTRON, EV, PROTON, ParticleSpec
-from selffield.energy_budget import BudgetMode, assemble_budget
+from selffield.energy_budget import (BudgetMode, assemble_budget,
+                                     localization_objective)
 from selffield.wavepacket import GaussianPacket
 from selffield.localization import (closed_form_binding, closed_form_radius,
                                     debroglie_ratio, minimize_radius,
@@ -61,6 +63,30 @@ def test_closed_form_agreement_grid():
                     closed_form_radius(particle, beta), rel=1e-6)
                 assert res.binding_energy == pytest.approx(
                     closed_form_binding(particle, beta), rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", list(BudgetMode))
+@pytest.mark.parametrize("particle", [
+    ELECTRON, PROTON, ParticleSpec(z=2, mass=4.0 * PROTON.mass),
+    ParticleSpec(z=-3, mass=1e-29)], ids=["electron", "proton", "z2", "z-3"])
+def test_closed_form_matches_numeric_minimizer(particle, mode):
+    # oracle: bounded Brent search on the budget objective around the seed;
+    # Brent resolves a flat minimum only to ~sqrt(eps) in b
+    for beta in (1e-3, 0.05, 0.1, 0.3, 0.9):
+        seed = closed_form_radius(particle, beta)
+
+        def objective(b):
+            return localization_objective(
+                GaussianPacket(b=b, particle=particle, beta=beta), mode)
+
+        oracle = minimize_scalar(objective, bounds=(0.1 * seed, 10.0 * seed),
+                                 method="bounded",
+                                 options={"xatol": 1e-12 * seed, "maxiter": 500})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = minimize_radius(particle, beta, mode)
+        assert res.b_star == pytest.approx(oracle.x, rel=1e-7, abs=0.0)
+        assert res.binding_energy == pytest.approx(-oracle.fun, rel=1e-12, abs=0.0)
 
 
 def test_assembled_mode_shift_bound():
@@ -175,5 +201,5 @@ def test_sweep_error_rows():
 
 def test_sweep_order_is_input_order():
     grid = [0.2, 0.05, 0.1]
-    rows = sweep(ELECTRON, grid, max_workers=3)
+    rows = sweep(ELECTRON, grid)
     assert [r.beta for r in rows] == grid

@@ -21,7 +21,8 @@ from .energy_budget import (BudgetMode, EnergyBudget, assemble_budget,
                             current_potential_energy, electrostatic_energy,
                             transverse_field_energy)
 from .localization import (LocalizationResult, debroglie_ratio,
-                           minimize_radius, scale_to_particle, sweep)
+                           functional_coefficients, minimize_radius,
+                           scale_to_particle, sweep)
 from .atom import (NeutralAtom, atom_charge_density_fourier,
                    atom_electrostatic_energy, atom_minimize)
 from .dynamics import (GridSpec, GridState, diagnostics, evolve, init_grid,

@@ -8,27 +8,31 @@ electron cloud of radius gamma.  The charge form factor
 
 vanishes at q = 0 (neutrality), and the electrostatic energy interpolates
 between zero (delocalized, b >> gamma) and the bare-nucleus value
-(b << gamma).  The screened energy is not of the form K/b^2 - C/b, so
-centre-of-mass localization keeps a bracketed bounded search, seeded by the
-bare-nucleus closed form and polished by Newton steps.
+(b << gamma).  Centre-of-mass localization minimizes the bare nucleus's
+functional K/b^2 - C/b with 1/b screened, K/b^2 - C screened_bracket(b),
+taking K and C from localization.functional_coefficients; the minimum is
+the bracketed root of the analytic derivative.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
-from .errors import InvalidVelocityError, NoLocalizationError
+from .errors import NoLocalizationError, NoMinimumError
 from .scales import (AMU_ELECTRON_RATIO, CONST, ELECTRON, PROTON,
                      ParticleSpec, derived_scales)
-from .localization import (BETA_SOFT_LIMIT, LocalizationResult,
-                           closed_form_radius)
+from .localization import LocalizationResult, functional_coefficients
 from .energy_budget import BudgetMode
 from .wavepacket import QUAD_ATOL, QUAD_RTOL, U_MAX
+
+# b/gamma where -b^3 dS/db peaks (at 0.35743 gamma); the screened
+# functional has a minimum only if its derivative turns positive there
+_SLOPE_PEAK = 0.5716532377261896
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,10 @@ class NeutralAtom:
     def __post_init__(self):
         if self.z_nucleus < 1:
             raise ValueError("z_nucleus must be a positive integer")
-        if self.gamma <= 0.0:
-            raise ValueError("electron-cloud radius gamma must be positive")
-        if self.mass_total <= 0.9 * self.z_nucleus * PROTON.mass:
-            raise ValueError("mass_total below the nuclear mass bound")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("electron-cloud radius gamma must be positive and finite")
+        if not 0.9 * self.z_nucleus * PROTON.mass < self.mass_total < math.inf:
+            raise ValueError("mass_total must be finite and above the nuclear mass bound")
 
 
 def _bohr_radius() -> float:
@@ -89,17 +93,19 @@ def screened_bracket(b: float, gamma: float) -> float:
     """The length-inverse bracket 1/b - 2 sqrt(2)/sqrt(2b^2+g^2) + 1/sqrt(b^2+g^2).
 
     Lies in [0, 1/b] and is monotone non-decreasing in gamma at fixed b.
+    Evaluated in the all-positive form t^2 (1 + q/(p+1)) / (2b q(q+1) p(p+q)),
+    t = (gamma/b)^2, p = sqrt(1+t), q = sqrt(1+t/2), scaled by b/gamma so
+    that no step cancels; the value is finite wherever 1/b is.
     """
-    return (1.0 / b
-            - 2.0 * math.sqrt(2.0) / math.sqrt(2.0 * b**2 + gamma**2)
-            + 1.0 / math.sqrt(b**2 + gamma**2))
+    u = min(b / gamma, 1e100)   # no inf/inf; past u ~ 1e78 the bracket is 0 anyway
+    p_u, q_u = math.hypot(u, 1.0), math.hypot(u, _SQRT_HALF)   # u p, u q
+    return (1.0 + q_u / (p_u + u)) / (2.0 * b * q_u * (q_u + u) * p_u * (p_u + q_u))
 
 
-def _screened_bracket_derivative(b: float, gamma: float) -> float:
-    """d/db of screened_bracket; negative for all b, gamma > 0."""
-    return (-1.0 / b**2
-            + 4.0 * math.sqrt(2.0) * b / (2.0 * b**2 + gamma**2) ** 1.5
-            - b / (b**2 + gamma**2) ** 1.5)
+def _bracket_slope(u: float) -> float:
+    """-b^2 d(screened_bracket)/db at u = b/gamma: 1 - 2/q^3 + 1/p^3, in [0, 1]."""
+    inv_q, inv_p = u / math.hypot(u, _SQRT_HALF), u / math.hypot(u, 1.0)
+    return 1.0 - 2.0 * inv_q**3 + inv_p**3
 
 
 def atom_electrostatic_energy(a: NeutralAtom, b: float) -> float:
@@ -138,66 +144,42 @@ def bare_nucleus_energy(a: NeutralAtom, b: float) -> float:
 
 
 def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
-    """Minimize 3 hbar^2/(16 M_tot b^2) - (2/3) beta^2 E_el_atom(b) over b.
+    """Minimize f(b) = K/b^2 - C screened_bracket(b, gamma) over b.
 
-    beta refers to the centre-of-mass velocity.  When screening wins (no
-    interior minimum with positive depth) a NoLocalizationError is raised.
+    K and C are the bare nucleus's (Z e, M_tot) from functional_coefficients,
+    which also checks beta (the centre-of-mass velocity).  As
+    0 <= -b^2 dS/db <= 1, f' < 0 at b0/2 (b0 = 2K/C), and f' can turn
+    positive only by the peak of -b^3 dS/db at 0.5717 gamma; the root of f'
+    is bracketed by doubling from b0 up to that peak and solved by brentq.
+    NoLocalizationError when screening wins (no root, or no positive depth).
     """
-    if not 0.0 <= beta < 1.0:
-        raise InvalidVelocityError(f"beta = {beta} outside [0, 1)")
-    if beta == 0.0:
-        raise NoLocalizationError("no localization at beta = 0")
-    if beta > BETA_SOFT_LIMIT:
-        warnings.warn(f"beta = {beta} > {BETA_SOFT_LIMIT}: beta^4 terms are no "
-                      "longer small; results are indicative only", stacklevel=2)
+    nucleus = ParticleSpec(z=a.z_nucleus, mass=a.mass_total,
+                           label=a.label or f"Z={a.z_nucleus} atom")
+    try:
+        k_coeff, c_coeff = functional_coefficients(nucleus, beta)
+    except NoMinimumError as exc:
+        raise NoLocalizationError(str(exc)) from exc
+    b0 = 2.0 * k_coeff / c_coeff
 
-    kinetic_k = 3.0 * CONST.hbar**2 / (16.0 * a.mass_total)
-    attraction = 2.0 / 3.0 * beta**2 * _energy_prefactor(a)
+    def slope(b):   # b^3 f'(b) / 2K: the sign of f'
+        return b / b0 * _bracket_slope(b / a.gamma) - 1.0
 
-    def f(b):
-        return kinetic_k / b**2 - attraction * screened_bracket(b, a.gamma)
-
-    def fprime(b):
-        return -2.0 * kinetic_k / b**3 - attraction * _screened_bracket_derivative(b, a.gamma)
-
-    # bare-nucleus closed form seeds the search
-    nucleus_like = ParticleSpec(z=a.z_nucleus, mass=a.mass_total,
-                                label=a.label or f"Z={a.z_nucleus} atom")
-    seed = closed_form_radius(nucleus_like, beta)
-
-    lo, hi = 0.1 * seed, 10.0 * seed
-    b_star = None
-    for _ in range(6):
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10 * seed, "maxiter": 500})
-        candidate = float(res.x)
-        margin = 1e-6 * (hi - lo)
-        if (candidate - lo) > margin and (hi - candidate) > margin:
-            b_star = candidate
-            break
-        lo, hi = lo / 8.0, hi * 8.0
-    if b_star is None:
+    peak = _SLOPE_PEAK * a.gamma
+    if not slope(peak) > 0.0:
         raise NoLocalizationError(
             f"screening wins: no interior minimum for beta={beta}, gamma={a.gamma:.3e} m")
+    lo, hi = 0.5 * b0, b0
+    while not slope(hi) > 0.0:
+        lo, hi = hi, min(2.0 * hi, peak)
+    b_star = brentq(slope, lo, hi, xtol=1e-300)
 
-    for _ in range(3):
-        d1 = fprime(b_star)
-        h = 1e-7 * b_star
-        d2 = (fprime(b_star + h) - fprime(b_star - h)) / (2.0 * h)
-        if d2 <= 0.0:
-            break
-        step = d1 / d2
-        if abs(step) > 0.5 * b_star:
-            break
-        b_star -= step
-
-    depth = -f(b_star)
-    if depth <= 0.0:
+    depth = c_coeff * screened_bracket(b_star, a.gamma) - k_coeff / b_star**2
+    if not depth > 0.0:
         raise NoLocalizationError(
             f"functional non-binding at beta={beta}: screening removes the minimum")
 
     neutral = ParticleSpec(z=0, mass=a.mass_total, label=a.label or "atom")
-    lam = 2.0 * math.pi * CONST.hbar / (a.mass_total * beta * CONST.c)
+    lam = derived_scales(nucleus, beta).de_broglie_length
     return LocalizationResult(
         b_star=b_star, binding_energy=depth, beta=beta, particle=neutral,
         mode=BudgetMode.PAPER_QUOTED, b_over_de_broglie=b_star / lam)

@@ -2,22 +2,24 @@
 grid evolution, and the self-validation suite.
 
 Exit codes: 0 success, 2 configuration/schema error or an input that fails
-its range check (negative, NaN or infinite width, unknown mode, ...),
-3 numeric failure (no minimum, no localization, grid mismatch, ...), 4 I/O
-error.  Outputs are deterministic: identical configs produce byte-identical
-CSV/JSON, all numerics are written with 12 significant digits, and each
-output file gets a .meta.json sidecar recording the constants version,
-mode, and tool version.
+its range check (negative, NaN or infinite width, beta outside [0, 1),
+unknown mode, malformed snapshot, ...), 3 numeric failure (no minimum, no
+localization, grid mismatch, a result that overflows or is not finite, ...),
+4 I/O error.  Outputs are deterministic: identical configs produce
+byte-identical CSV/JSON, all numerics are written with 12 significant
+digits, and each output file gets a .meta.json sidecar recording the
+constants version, mode, and tool version.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
-from .errors import ConfigError, SelfFieldError
+from .errors import ConfigError, InvalidVelocityError, SelfFieldError
 from .scales import (CONSTANTS_VERSION, EV, PARTICLE_PRESETS, ParticleSpec)
 from .wavepacket import GaussianPacket
 from .energy_budget import BudgetMode, assemble_budget
@@ -31,6 +33,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(x) -> str:
     """12-significant-digit rendering for CSV cells."""
@@ -40,8 +44,11 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON output."""
+    """Recursively round floats to 12 significant digits for JSON output;
+    a NaN or infinite result raises FloatingPointError."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise FloatingPointError(f"non-finite result {obj}")
         return float(f"{obj:.11e}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
@@ -51,23 +58,30 @@ def _round12(obj):
 
 
 def parse_beta_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive endpoints, tolerance step/2) or a
-    comma-separated list."""
+    """Parse 'start:stop:step' (inclusive endpoints, tolerance step/2, at
+    most MAX_GRID_POINTS values) or a comma-separated list of finite numbers."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError("beta_grid", f"expected start:stop:step, got {text!r}")
         start, stop, step_v = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step_v))):
+            raise ConfigError("beta_grid", "start, stop and step must be finite")
         if step_v <= 0.0:
             raise ConfigError("beta_grid", "step must be positive")
+        if not (stop - start) / step_v < MAX_GRID_POINTS:
+            raise ConfigError("beta_grid", f"more than {MAX_GRID_POINTS} values")
         grid = []
         value = start
         while value <= stop + 0.5 * step_v:
             grid.append(round(value, 12))
             value += step_v
         return grid
-    return [float(p) for p in text.split(",") if p.strip()]
+    grid = [float(p) for p in text.split(",") if p.strip()]
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError("beta_grid", "every beta must be a finite number")
+    return grid
 
 
 def _parse_particle(args) -> ParticleSpec:
@@ -360,13 +374,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"selffield: config error: {exc}\n")
         return EXIT_CONFIG
+    except (InvalidVelocityError, ValueError) as exc:
+        # the package's input checks (velocities, widths, grid sizes, modes, ...)
+        sys.stderr.write(f"selffield: invalid input: {exc}\n")
+        return EXIT_CONFIG
     except SelfFieldError as exc:
         sys.stderr.write(f"selffield: {exc}\n")
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # the package's input checks (widths, grid sizes, modes, ...)
-        sys.stderr.write(f"selffield: invalid input: {exc}\n")
-        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        # overflow, underflow to a zero divisor, or a non-finite result
+        sys.stderr.write(f"selffield: numeric failure: {exc!r}\n")
+        return EXIT_NUMERIC
     except OSError as exc:
         sys.stderr.write(f"selffield: I/O error: {exc}\n")
         return EXIT_IO

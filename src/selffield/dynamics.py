@@ -75,10 +75,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 32 or self.n > 512 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two in {32 ... 512}")
-        if self.box <= 0.0:
-            raise ValueError("box edge must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.box < math.inf:
+            raise ValueError("box edge must be positive and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -654,19 +654,55 @@ def save_snapshot(state: GridState, spec: GridSpec, path):
             fh.write(block.tobytes())
 
 
+# header fields and types exactly as save_snapshot writes them
+_SNAPSHOT_HEADER = {"version": int, "n": int, "box_m": float, "dt_s": float,
+                    "t_s": float, "particle": dict, "coupling": bool,
+                    "include_diagonal_nA": bool}
+_SNAPSHOT_PARTICLE = {"z": int, "mass_kg": float}
+_SNAPSHOT_HEADER_MAX = 4096   # bytes
+
+
+def _fields_ok(obj, schema) -> bool:
+    return (isinstance(obj, dict) and set(obj) == set(schema)
+            and all(type(obj[key]) is kind for key, kind in schema.items()))
+
+
 def load_snapshot(path, label: str = "") -> tuple[GridState, GridSpec]:
-    """Inverse of save_snapshot; restores bit-identical state and spec."""
+    """Inverse of save_snapshot; restores bit-identical state and spec.
+
+    The header must hold exactly the fields save_snapshot writes, give a
+    valid GridSpec and a finite time, and the file must be the header plus
+    5 n^3 float64 values long; the size is checked before any array is
+    allocated.  A snapshot that fails raises ConfigError("snapshot_in").
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {header.get('version')}")
-        n = int(header["n"])
-        particle = ParticleSpec(z=int(header["particle"]["z"]),
-                                mass=float(header["particle"]["mass_kg"]),
-                                label=label)
-        spec = GridSpec(n=n, box=float(header["box_m"]), dt=float(header["dt_s"]),
-                        particle=particle, coupling=bool(header["coupling"]),
-                        include_diagonal_na=bool(header["include_diagonal_nA"]))
+        line = fh.readline(_SNAPSHOT_HEADER_MAX)
+        try:
+            header = json.loads(line.decode())
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError("snapshot_in", f"header is not a JSON line: {exc}") from exc
+        if not (_fields_ok(header, _SNAPSHOT_HEADER)
+                and _fields_ok(header["particle"], _SNAPSHOT_PARTICLE)):
+            raise ConfigError("snapshot_in", "header must hold exactly the fields "
+                              f"{sorted(_SNAPSHOT_HEADER)} with particle {{z, mass_kg}}")
+        if header["version"] != SNAPSHOT_VERSION:
+            raise ConfigError("snapshot_in", f"unsupported snapshot version {header['version']}")
+        if not math.isfinite(header["t_s"]):
+            raise ConfigError("snapshot_in", f"time t_s = {header['t_s']} is not finite")
+        try:
+            particle = ParticleSpec(z=header["particle"]["z"],
+                                    mass=header["particle"]["mass_kg"], label=label)
+            spec = GridSpec(n=header["n"], box=header["box_m"], dt=header["dt_s"],
+                            particle=particle, coupling=header["coupling"],
+                            include_diagonal_na=header["include_diagonal_nA"])
+        except ValueError as exc:
+            raise ConfigError("snapshot_in", str(exc)) from exc
+        n = spec.n
+        expected = len(line) + 5 * n**3 * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ConfigError("snapshot_in", f"file is {size} bytes, expected {expected} "
+                              f"for n = {n}")
         inter = np.frombuffer(fh.read(n**3 * 2 * 8), dtype="<f8").reshape(n**3, 2)
         psi = (inter[:, 0] + 1j * inter[:, 1]).reshape(n, n, n).transpose(2, 1, 0)
         a = np.empty((3, n, n, n))
@@ -674,4 +710,4 @@ def load_snapshot(path, label: str = "") -> tuple[GridState, GridSpec]:
             block = np.frombuffer(fh.read(n**3 * 8), dtype="<f8").reshape(n, n, n)
             a[comp] = block.transpose(2, 1, 0)
     return GridState(psi=np.ascontiguousarray(psi), a_field=a,
-                     t=float(header["t_s"])), spec
+                     t=header["t_s"]), spec

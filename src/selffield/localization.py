@@ -8,15 +8,17 @@ its minimum at
 
 and b*/lambda_deBroglie is independent of the particle mass.  Both budget
 modes keep this form (ASSEMBLED only weakens C by the beta^4 field term), so
-the minimizer is closed form: K and C are read off the energy budget at the
-closed-form width, b* = 2K/C and the depth is C^2/4K, evaluated as minus
-the objective at b*.
+the minimizer is closed form: functional_coefficients reads K and C off the
+energy budget at the closed-form width, b* = 2K/C and the depth is C^2/4K,
+evaluated as minus the objective at b*.  The screened atom reuses the same
+K and C for its bare nucleus.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -73,30 +75,43 @@ def _check_beta(beta: float):
         raise NoMinimumError("functional is monotone at beta = 0: no localization")
     if beta > BETA_SOFT_LIMIT:
         warnings.warn(f"beta = {beta} > {BETA_SOFT_LIMIT}: beta^4 terms are no "
-                      "longer small; results are indicative only", stacklevel=3)
+                      "longer small; results are indicative only", stacklevel=4)
 
 
-def minimize_radius(p: ParticleSpec, beta: float,
-                    mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> LocalizationResult:
-    """Minimize the localization energy K/b^2 - C/b over b, in closed form.
+def functional_coefficients(p: ParticleSpec, beta: float,
+                            mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> tuple[float, float]:
+    """K (J m^2) and C (J m) of the localization energy K/b^2 - C/b, read off
+    the budget at the closed-form width seed (the PAPER_QUOTED minimizer),
+    where neither reading loses digits to cancellation.
 
-    K and C are read off the budget at the closed-form width seed (which is
-    the minimizer in PAPER_QUOTED mode), where neither reading loses digits
-    to cancellation; then b* = 2K/C and depth = -objective(b*).
+    Raises NoMinimumError at beta = 0, when the functional does not bind,
+    and when b* = 2K/C or the depth C^2/4K is outside the normal float range.
     """
     if p.z == 0:
         raise ValueError("charged-particle minimization needs z != 0; use the atom module")
     _check_beta(beta)
-
-    seed = closed_form_radius(p, beta)
-    at_seed = GaussianPacket(b=seed, particle=p, beta=beta)
-    kinetic = internal_kinetic_energy(at_seed)
-    k_coeff = kinetic * seed**2
-    c_coeff = (kinetic - localization_objective(at_seed, mode)) * seed
+    where = f"beta={beta} for particle {p.label or p.z}"
+    try:
+        seed = closed_form_radius(p, beta)
+        at_seed = GaussianPacket(b=seed, particle=p, beta=beta)
+        kinetic = internal_kinetic_energy(at_seed)
+        k_coeff = kinetic * seed**2
+        c_coeff = (kinetic - localization_objective(at_seed, mode)) * seed
+    except (ArithmeticError, ValueError) as exc:   # seed width or energy out of range
+        raise NoMinimumError(f"minimum outside the float range at {where}") from exc
     if not c_coeff > 0.0:
-        raise NoMinimumError(
-            f"functional non-binding at beta={beta} for particle {p.label or p.z}")
+        raise NoMinimumError(f"functional non-binding at {where}")
+    b_star = 2.0 * k_coeff / c_coeff
+    if not (0.0 < b_star * b_star < math.inf
+            and c_coeff / (2.0 * b_star) >= sys.float_info.min):
+        raise NoMinimumError(f"minimum outside the float range at {where}")
+    return k_coeff, c_coeff
 
+
+def minimize_radius(p: ParticleSpec, beta: float,
+                    mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> LocalizationResult:
+    """Minimize K/b^2 - C/b in closed form: b* = 2K/C, depth = -objective(b*)."""
+    k_coeff, c_coeff = functional_coefficients(p, beta, mode)
     b_star = 2.0 * k_coeff / c_coeff
     depth = -localization_objective(GaussianPacket(b=b_star, particle=p, beta=beta), mode)
     lam = derived_scales(p, beta).de_broglie_length

@@ -63,8 +63,8 @@ class ParticleSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("particle mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("particle mass must be positive and finite")
         if int(self.z) != self.z:
             raise ValueError("charge multiple z must be an integer")
 

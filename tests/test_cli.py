@@ -20,16 +20,16 @@ def run_cli(capsys, *argv):
 
 def test_beta_grid_range():
     grid = parse_beta_grid("0.05:0.25:0.05")
-    assert grid == pytest.approx([0.05, 0.10, 0.15, 0.20, 0.25])
+    assert grid == pytest.approx([0.05, 0.10, 0.15, 0.20, 0.25], abs=0)
 
 
 def test_beta_grid_endpoint_tolerance():
     # endpoint included when within step/2
-    assert parse_beta_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+    assert parse_beta_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3], abs=0)
 
 
 def test_beta_grid_list():
-    assert parse_beta_grid("0.1, 0.2,0.05") == pytest.approx([0.1, 0.2, 0.05])
+    assert parse_beta_grid("0.1, 0.2,0.05") == pytest.approx([0.1, 0.2, 0.05], abs=0)
 
 
 def test_beta_grid_bad_spec():
@@ -46,8 +46,8 @@ def test_minimize_stdout(capsys):
                            "--beta", "0.1")
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["b_star_m"] == pytest.approx(1.49e-8, rel=0.05)
-    assert data["binding_eV"] == pytest.approx(6.4e-5, rel=0.05)
+    assert data["b_star_m"] == pytest.approx(1.49e-8, rel=0.05, abs=0)
+    assert data["binding_eV"] == pytest.approx(6.4e-5, rel=0.05, abs=0)
     assert data["mode"] == "PaperQuoted"
 
 
@@ -62,7 +62,7 @@ def test_minimize_custom_particle(capsys):
     code, out, _ = run_cli(capsys, "minimize", "--z", "1",
                            "--mass-kg", "1.67262192e-27", "--beta", "0.1")
     assert code == EXIT_OK
-    assert json.loads(out)["b_star_m"] == pytest.approx(8.13e-12, rel=0.01)
+    assert json.loads(out)["b_star_m"] == pytest.approx(8.13e-12, rel=0.01, abs=0)
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_energy_json(capsys):
                            "--beta", "0.1", "--b", "5.29177210903e-11")
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["electrostatic_eV"] == pytest.approx(5.4279, rel=1e-3)
+    assert data["electrostatic_eV"] == pytest.approx(5.4279, rel=1e-3, abs=0)
     assert data["mode"] == "PaperQuoted"
 
 
@@ -136,7 +136,7 @@ def test_atom_preset_minimize(capsys):
     code, out, _ = run_cli(capsys, "atom", "--atom", "H", "--beta", "0.1")
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["b_star_m"] == pytest.approx(8.1e-12, rel=0.02)
+    assert data["b_star_m"] == pytest.approx(8.1e-12, rel=0.02, abs=0)
 
 
 def test_atom_energy_evaluation(capsys):
@@ -160,7 +160,7 @@ def test_config_roundtrip(tmp_path, capsys):
     path.write_text(json.dumps(config))
     code, out, _ = run_cli(capsys, "--config", str(path))
     assert code == EXIT_OK
-    assert json.loads(out)["b_star_m"] == pytest.approx(1.49e-8, rel=0.05)
+    assert json.loads(out)["b_star_m"] == pytest.approx(1.49e-8, rel=0.05, abs=0)
 
 
 def test_config_rejects_unknown_key():
@@ -224,7 +224,7 @@ def test_evolve_and_restart(tmp_path, capsys):
     # restarted trajectory continues at the snapshot time
     t_end = float(lines1[-1].split(",")[1])
     t_resume = float(lines2[1].split(",")[1])
-    assert t_resume == pytest.approx(t_end, rel=1e-12)
+    assert t_resume == pytest.approx(t_end, rel=1e-12, abs=0)
 
 
 def test_evolve_grid_mismatch_is_numeric_error(capsys, tmp_path):
@@ -321,3 +321,106 @@ def test_readme_examples_golden_stdout(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert out == expected
+
+
+# --- exit codes at the edges of the float range ------------------------------------
+
+@pytest.mark.parametrize("argv,expected", [
+    (["energy", "--particle", "electron", "--beta", "0.1", "--b", "1e300"], EXIT_NUMERIC),
+    (["energy", "--particle", "electron", "--beta", "0.1", "--b", "1e-170"], EXIT_NUMERIC),
+    (["minimize", "--particle", "electron", "--beta", "1e-74"], EXIT_NUMERIC),
+    (["energy", "--particle", "electron", "--beta", "nan", "--b", "1e-10"], EXIT_CONFIG),
+    (["minimize", "--particle", "electron", "--beta", "1.5"], EXIT_CONFIG),
+    (["sweep", "--particle", "electron", "--beta", "nan,0.1"], EXIT_CONFIG),
+    (["sweep", "--particle", "electron", "--beta", "0:inf:0.1"], EXIT_CONFIG),
+    (["sweep", "--particle", "electron", "--beta", "0:1:1e-300"], EXIT_CONFIG),
+    (["minimize", "--z", "1", "--mass-kg", "nan", "--beta", "0.1"], EXIT_CONFIG),
+    (["atom", "--z-nucleus", "1", "--mass-total-kg", "1.7e-27", "--gamma-m", "nan",
+      "--beta", "0.1"], EXIT_CONFIG),
+    (["evolve", "--particle", "electron", "--coupling-off", "--b", "3e-11", "--n", "32",
+      "--box", "2.4e-10", "--dt", "nan", "--steps", "1"], EXIT_CONFIG),
+    (["energy", "--z", "1", "--mass-kg", "1e300", "--beta", "0.5", "--b", "1e-10"],
+     EXIT_NUMERIC),
+], ids=["energy-b-1e300", "energy-b-1e-170", "minimize-beta-1e-74", "energy-beta-nan",
+        "minimize-beta-1.5", "sweep-beta-nan", "sweep-stop-inf", "sweep-too-many",
+        "minimize-mass-nan", "atom-gamma-nan", "evolve-dt-nan", "energy-inf-result"])
+def test_float_range_exit_codes(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("selffield: ")
+
+
+def test_sweep_tiny_beta_is_a_row_status(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--particle", "electron",
+                           "--beta", "1e-170,0.1")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "1.00000000000e-170,,,,,no-minimum"
+
+
+def test_atom_localizes_shallow_minimum(capsys):
+    code, out, _ = run_cli(capsys, "atom", "--z-nucleus", "1",
+                           "--mass-total-kg", "3.34524384e-27",
+                           "--gamma-m", "1.5875316e-11", "--beta", "0.1")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["b_star_m"] == 4.41023466806e-12
+    assert data["binding_eV"] == 0.0328419646662
+
+
+def test_atom_screened_energy_far_out(capsys):
+    code, out, _ = run_cli(capsys, "atom", "--atom", "H", "--b", "5.29177210903e-7")
+    assert code == EXIT_OK
+    assert json.loads(out)["electrostatic_eV"] == 1.01772865233e-20
+
+
+# --- snapshot validation -------------------------------------------------------------
+
+def _write_snapshot(tmp_path):
+    from selffield.dynamics import GridSpec, init_grid, save_snapshot
+    from selffield.scales import ELECTRON
+    from selffield.wavepacket import GaussianPacket
+
+    b = 3e-11
+    spec = GridSpec(n=32, box=8 * b, dt=2e-19, particle=ELECTRON)
+    path = tmp_path / "state.snap"
+    save_snapshot(init_grid(spec, GaussianPacket(b=b, particle=ELECTRON, beta=0.1)),
+                  spec, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert _dump(json.loads(header)) == header   # the faults below change only the fault
+    return path, json.loads(header), payload
+
+
+def _dump(header):
+    return json.dumps(header, sort_keys=True).encode()
+
+
+# fault -> (header dict, payload bytes) -> (header line, payload) as written
+SNAPSHOT_FAULTS = {
+    "missing-key": lambda h, p: (_dump({k: v for k, v in h.items() if k != "dt_s"}), p),
+    "extra-key": lambda h, p: (_dump({**h, "extra": 1}), p),
+    "n-string": lambda h, p: (_dump({**h, "n": "32"}), p),
+    "n-48": lambda h, p: (_dump({**h, "n": 48}), p),
+    "t-nan": lambda h, p: (_dump({**h, "t_s": float("nan")}), p),
+    "box-negative": lambda h, p: (_dump({**h, "box_m": -1.0}), p),
+    "version-2": lambda h, p: (_dump({**h, "version": 2}), p),
+    "particle-missing-mass": lambda h, p: (_dump({**h, "particle": {"z": -1}}), p),
+    "list-header": lambda h, p: (b"[1, 2]", p),
+    "not-json": lambda h, p: (b"{not json", p),
+    "binary-header": lambda h, p: (b"\xff\xfe" * 4000, p),
+    "trailing-bytes": lambda h, p: (_dump(h), p + bytes(8)),
+    "truncated": lambda h, p: (_dump(h), p[:-8]),
+    "truncated-odd": lambda h, p: (_dump(h), p[:-3]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SNAPSHOT_FAULTS))
+def test_malformed_snapshot_is_config_error(capsys, tmp_path, fault):
+    path, header, payload = _write_snapshot(tmp_path)
+    head, payload = SNAPSHOT_FAULTS[fault](header, payload)
+    path.write_bytes(head + b"\n" + payload)
+    code, out, err = run_cli(capsys, "evolve", "--snapshot-in", str(path),
+                             "--steps", "1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("selffield: config error: snapshot_in: ")

@@ -75,7 +75,7 @@ def test_current_magnitude_at_q0():
     p = _packet()
     j0 = classical_current_fourier(p, [0.0, 0.0, 0.0]).value
     assert np.linalg.norm(j0) == pytest.approx(
-        CONST.e_charge * 0.1 * CONST.c, rel=1e-12)
+        CONST.e_charge * 0.1 * CONST.c, rel=1e-12, abs=0)
 
 
 def test_current_direction_follows_charge_sign():
@@ -92,7 +92,7 @@ def test_current_product_form():
     q = np.array([1.0, 0.0, 0.0]) / A_B
     j = classical_current_fourier(p, q).value
     assert np.linalg.norm(j) == pytest.approx(
-        CONST.e_charge * 0.1 * CONST.c * math.exp(-1.0), rel=1e-12)
+        CONST.e_charge * 0.1 * CONST.c * math.exp(-1.0), rel=1e-12, abs=0)
 
 
 # --- vector potential -------------------------------------------------------
@@ -120,7 +120,7 @@ def test_potential_gaussian_q_scaling():
     q1 = np.array([1.0, 0.0, 0.0]) / A_B
     a1 = np.linalg.norm(vector_potential_fourier(p, q1).value)
     a2 = np.linalg.norm(vector_potential_fourier(p, 2.0 * q1).value)
-    assert a2 / a1 == pytest.approx(math.exp(-3.0) / 4.0, rel=1e-12)
+    assert a2 / a1 == pytest.approx(math.exp(-3.0) / 4.0, rel=1e-12, abs=0)
 
 
 def test_potential_singular_at_origin():
@@ -165,7 +165,7 @@ def test_efield_oblique_magnitude():
     a = vector_potential_fourier(p, q)
     e = transverse_efield_fourier(p, q)
     expected = np.linalg.norm(q) * p.speed * math.cos(math.pi / 4.0) * np.linalg.norm(a.value)
-    assert np.linalg.norm(e.value) == pytest.approx(expected, rel=1e-12)
+    assert np.linalg.norm(e.value) == pytest.approx(expected, rel=1e-12, abs=0)
     # componentwise: E = i (q.v) A
     assert np.allclose(e.value, 1j * np.dot(q, p.speed * p.direction) * a.value,
                        rtol=1e-13)
@@ -182,13 +182,13 @@ def test_mean_potential_coefficient_value():
     p = _packet()
     coeff = np.dot(mean_vector_potential(p), p.direction) * CONST.e_charge / \
         np.linalg.norm(p.momentum)
-    assert coeff == pytest.approx(-1.41617e-5, rel=1e-4)
+    assert coeff == pytest.approx(-1.41617e-5, rel=1e-4, abs=0)
 
 
 def test_mean_potential_kappa_over_b_grid():
     for b in (0.1 * A_B, A_B, 10.0 * A_B):
         p = _packet(b=b)
-        assert mean_potential_coefficient(p) == pytest.approx(-4.0 / 3.0, rel=1e-8)
+        assert mean_potential_coefficient(p) == pytest.approx(-4.0 / 3.0, rel=1e-8, abs=0)
 
 
 def test_renormalized_momentum():
@@ -197,8 +197,8 @@ def test_renormalized_momentum():
     expected = 1.0 + 4.0 / 3.0 * e_el / (ELECTRON.mass * CONST.c**2)
     got = np.linalg.norm(renormalized_momentum(p)) / (
         ELECTRON.mass * p.speed)
-    assert got == pytest.approx(expected, rel=1e-14)
-    assert got - 1.0 == pytest.approx(1.41617e-5, rel=1e-4)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0)
+    assert got - 1.0 == pytest.approx(1.41617e-5, rel=1e-4, abs=0)
     assert np.allclose(renormalized_momentum(_packet(beta=0.0)), 0.0)
 
 
@@ -208,8 +208,8 @@ def test_renormalization_coefficient_beta_independent():
         p = _packet(beta=beta)
         ratio = np.linalg.norm(renormalized_momentum(p)) / (ELECTRON.mass * p.speed)
         vals.append(ratio - 1.0)
-    assert vals[0] == pytest.approx(vals[1], rel=1e-10)
-    assert vals[1] == pytest.approx(vals[2], rel=1e-10)
+    assert vals[0] == pytest.approx(vals[1], rel=1e-10, abs=0)
+    assert vals[1] == pytest.approx(vals[2], rel=1e-10, abs=0)
 
 
 def test_total_momentum():
@@ -217,9 +217,9 @@ def test_total_momentum():
     e_el = electrostatic_energy(p)
     expected = 1.0 + 4.0 / 15.0 * 0.01 * e_el / (ELECTRON.mass * CONST.c**2)
     got = np.linalg.norm(total_momentum(p)) / np.linalg.norm(p.momentum)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
     # (4/15) * 1e-2 * (5.428 eV / 511 keV) = 2.83e-8 at b = a_B, beta = 0.1
-    assert (got - 1.0) == pytest.approx(2.833e-8, rel=1e-3)
+    assert (got - 1.0) == pytest.approx(2.833e-8, rel=1e-3, abs=0)
     assert np.allclose(total_momentum(_packet(beta=0.0)), 0.0)
 
 
@@ -236,9 +236,9 @@ def test_momentum_coefficient_grid():
     for b in (0.1 * A_B, A_B, 10.0 * A_B):
         for beta in (0.01, 0.1, 0.2):
             p = _packet(b=b, beta=beta)
-            assert momentum_coefficient(p) == pytest.approx(4.0 / 15.0, rel=1e-8)
+            assert momentum_coefficient(p) == pytest.approx(4.0 / 15.0, rel=1e-8, abs=0)
 
 
 def test_retardation_diagnostic():
-    assert retardation_ratio(_packet(beta=0.1)) == pytest.approx(0.1, rel=1e-14)
+    assert retardation_ratio(_packet(beta=0.1)) == pytest.approx(0.1, rel=1e-14, abs=0)
     assert retardation_ratio(_packet(beta=0.0)) == 0.0

@@ -46,6 +46,14 @@ def test_grid_spec_validation():
         GridSpec(n=64, box=1e-9, dt=0.0, particle=ELECTRON)
 
 
+@pytest.mark.parametrize("field", ["box", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), math.inf])
+def test_grid_spec_rejects_non_finite(field, value):
+    kwargs = {"n": 32, "box": 1e-9, "dt": 1e-19, "particle": ELECTRON, field: value}
+    with pytest.raises(ValueError):
+        GridSpec(**kwargs)
+
+
 def test_init_resolution_guard():
     spec = small_spec()
     with pytest.raises(GridMismatchError, match="resolution"):

@@ -28,32 +28,32 @@ def _packet(b=A_B, beta=0.1):
 
 def test_electrostatic_value():
     # e^2 / (8 sqrt(2) pi^(3/2) eps0 a_B) = 5.428 eV
-    assert electrostatic_energy(_packet()) / EV == pytest.approx(5.4279, rel=1e-4)
+    assert electrostatic_energy(_packet()) / EV == pytest.approx(5.4279, rel=1e-4, abs=0)
 
 
 def test_electrostatic_inverse_b():
     assert electrostatic_energy(_packet(b=2 * A_B)) == pytest.approx(
-        electrostatic_energy(_packet()) / 2.0, rel=1e-14)
+        electrostatic_energy(_packet()) / 2.0, rel=1e-14, abs=0)
 
 
 def test_electrostatic_charge_squared():
     z2 = ParticleSpec(z=2, mass=ELECTRON.mass)
     p2 = GaussianPacket(b=A_B, particle=z2, beta=0.1)
     assert electrostatic_energy(p2) == pytest.approx(
-        4.0 * electrostatic_energy(_packet()), rel=1e-14)
+        4.0 * electrostatic_energy(_packet()), rel=1e-14, abs=0)
 
 
 def test_electrostatic_quadrature_oracle():
     for b in np.logspace(-12, -6, 7):
         p = _packet(b=float(b))
         assert electrostatic_energy_quadrature(p) == pytest.approx(
-            electrostatic_energy(p), rel=1e-10)
+            electrostatic_energy(p), rel=1e-10, abs=0)
 
 
 def test_electrostatic_profile_path():
     prof = gaussian_profile(A_B)
     got = electrostatic_energy(prof, charge=-CONST.e_charge)
-    assert got == pytest.approx(electrostatic_energy(_packet()), rel=1e-8)
+    assert got == pytest.approx(electrostatic_energy(_packet()), rel=1e-8, abs=0)
 
 
 # --- current-potential interaction -------------------------------------------
@@ -65,7 +65,7 @@ def test_current_potential_zero_at_rest():
 def test_current_potential_value():
     # -(2/3) beta^2 E_el = -3.619e-2 eV at b = a_B, beta = 0.1
     assert current_potential_energy(_packet()) / EV == pytest.approx(
-        -3.6186e-2, rel=1e-4)
+        -3.6186e-2, rel=1e-4, abs=0)
     assert current_potential_energy(_packet()) < 0.0
 
 
@@ -73,7 +73,7 @@ def test_current_potential_ratio_b_independent():
     for b in (0.1 * A_B, A_B, 10 * A_B, 1e3 * A_B):
         p = _packet(b=b)
         ratio = current_potential_energy(p) / electrostatic_energy(p)
-        assert ratio == pytest.approx(-2.0 / 3.0 * 0.01, rel=1e-14)
+        assert ratio == pytest.approx(-2.0 / 3.0 * 0.01, rel=1e-14, abs=0)
 
 
 def test_current_potential_quadrature_oracle():
@@ -81,7 +81,7 @@ def test_current_potential_quadrature_oracle():
         for beta in (0.01, 0.1, 0.2):
             p = _packet(b=b, beta=beta)
             assert current_potential_energy_quadrature(p) == pytest.approx(
-                current_potential_energy(p), rel=1e-8)
+                current_potential_energy(p), rel=1e-8, abs=0)
 
 
 # --- transverse field energy ---------------------------------------------------
@@ -93,7 +93,7 @@ def test_transverse_field_zero_at_rest():
 def test_transverse_field_value():
     # (4/15) beta^4 E_el = 1.447e-4 eV at b = a_B, beta = 0.1
     assert transverse_field_energy(_packet()) / EV == pytest.approx(
-        1.4474e-4, rel=1e-4)
+        1.4474e-4, rel=1e-4, abs=0)
     assert transverse_field_energy(_packet()) >= 0.0
 
 
@@ -103,14 +103,14 @@ def test_transverse_field_to_current_ratio():
         for beta in (0.05, 0.15):
             p = _packet(b=b, beta=beta)
             ratio = transverse_field_energy(p) / abs(current_potential_energy(p))
-            assert ratio == pytest.approx(0.4 * beta**2, rel=1e-12)
+            assert ratio == pytest.approx(0.4 * beta**2, rel=1e-12, abs=0)
 
 
 def test_transverse_field_quadrature_oracle():
     for b in (0.1 * A_B, A_B, 10 * A_B):
         p = _packet(b=b)
         assert transverse_field_energy_quadrature(p) == pytest.approx(
-            transverse_field_energy(p), rel=1e-8)
+            transverse_field_energy(p), rel=1e-8, abs=0)
 
 
 # --- width-breathing diagnostic ----------------------------------------------
@@ -132,7 +132,7 @@ def test_budget_at_rest_has_no_binding_terms():
     budget = assemble_budget(_packet(beta=0.0), BudgetMode.PAPER_QUOTED)
     assert budget.convective == 0.0
     assert budget.total - budget.convective == pytest.approx(
-        budget.internal_kinetic, rel=1e-15)
+        budget.internal_kinetic, rel=1e-15, abs=0)
     assert budget.current_potential == 0.0
 
 
@@ -141,9 +141,9 @@ def test_budget_virial_example():
     # half the attraction magnitude
     b_star = 1.4922568771641422e-08
     budget = assemble_budget(_packet(b=b_star), BudgetMode.PAPER_QUOTED)
-    assert budget.internal_kinetic / EV == pytest.approx(6.41604e-5, rel=1e-5)
+    assert budget.internal_kinetic / EV == pytest.approx(6.41604e-5, rel=1e-5, abs=0)
     assert budget.internal_kinetic == pytest.approx(
-        abs(budget.current_potential) / 2.0, rel=1e-9)
+        abs(budget.current_potential) / 2.0, rel=1e-9, abs=0)
 
 
 def test_budget_modes_differ_by_field_term():
@@ -153,7 +153,7 @@ def test_budget_modes_differ_by_field_term():
     # difference passes through the ~1e8x larger convective constant, so the
     # comparison is only good to eps * total / field_term
     assert assembled.total - quoted.total == pytest.approx(
-        transverse_field_energy(p), rel=1e-6)
+        transverse_field_energy(p), rel=1e-6, abs=0)
     assert assembled.transverse_field == transverse_field_energy(p)
 
 
@@ -170,7 +170,7 @@ def test_budget_convective_constant_reference():
     e1 = assemble_budget(_packet(b=A_B)).convective
     e2 = assemble_budget(_packet(b=50 * A_B)).convective
     assert e1 == e2 == convective_energy(_packet())
-    assert e1 == pytest.approx(0.5 * ELECTRON.mass * (0.1 * CONST.c) ** 2, rel=1e-15)
+    assert e1 == pytest.approx(0.5 * ELECTRON.mass * (0.1 * CONST.c) ** 2, rel=1e-15, abs=0)
 
 
 def test_budget_serialization():
@@ -178,7 +178,7 @@ def test_budget_serialization():
     data = json.loads(budget.to_json())
     assert data["mode"] == "Assembled"
     assert set(budget.CSV_FIELDS) == set(data.keys())
-    assert data["electrostatic_eV"] == pytest.approx(5.4279, rel=1e-4)
+    assert data["electrostatic_eV"] == pytest.approx(5.4279, rel=1e-4, abs=0)
 
 
 def test_budget_invariant_signs():

@@ -27,8 +27,8 @@ def test_constants_reject_nonpositive():
 
 def test_electron_scales_match_codata():
     s = derived_scales(ELECTRON, 0.0)
-    assert s.bohr_like_length == pytest.approx(A_BOHR_CODATA, rel=1e-8)
-    assert s.rydberg_like_energy / EV == pytest.approx(RYDBERG_EV_CODATA, rel=1e-8)
+    assert s.bohr_like_length == pytest.approx(A_BOHR_CODATA, rel=1e-8, abs=0)
+    assert s.rydberg_like_energy / EV == pytest.approx(RYDBERG_EV_CODATA, rel=1e-8, abs=0)
     assert s.de_broglie_length is None
 
 
@@ -36,7 +36,7 @@ def test_proton_bohr_scaling():
     s_e = derived_scales(ELECTRON, 0.0)
     s_p = derived_scales(PROTON, 0.0)
     ratio = PROTON.mass / ELECTRON.mass
-    assert s_p.bohr_like_length == pytest.approx(s_e.bohr_like_length / ratio, rel=1e-14)
+    assert s_p.bohr_like_length == pytest.approx(s_e.bohr_like_length / ratio, rel=1e-14, abs=0)
 
 
 def test_de_broglie_electron():
@@ -44,7 +44,7 @@ def test_de_broglie_electron():
     s = derived_scales(ELECTRON, 0.1)
     expected = 2.0 * math.pi * CONST.hbar / (ELECTRON.mass * 0.1 * CONST.c)
     assert s.de_broglie_length == expected
-    assert s.de_broglie_length == pytest.approx(2.426e-11, rel=1e-3)
+    assert s.de_broglie_length == pytest.approx(2.426e-11, rel=1e-3, abs=0)
 
 
 def test_bohr_ratio_is_mass_charge_scaling():
@@ -54,14 +54,14 @@ def test_bohr_ratio_is_mass_charge_scaling():
         p = ParticleSpec(z=z, mass=mass_ratio * ELECTRON.mass)
         s = derived_scales(p, 0.0)
         assert s_e.bohr_like_length / s.bohr_like_length == pytest.approx(
-            mass_ratio * z**2, rel=1e-14)
+            mass_ratio * z**2, rel=1e-14, abs=0)
 
 
 def test_compton_identity():
     for p in (ELECTRON, PROTON):
         s = derived_scales(p, 0.0)
         assert s.compton_length * p.mass * CONST.c / CONST.hbar == pytest.approx(
-            1.0, rel=1e-15)
+            1.0, rel=1e-15, abs=0)
 
 
 def test_relativistic_beta_rejected():
@@ -83,10 +83,17 @@ def test_particle_validation():
     assert PROTON.charge == CONST.e_charge
 
 
+@pytest.mark.parametrize("mass", [float("nan"), math.inf, -math.inf, -1.0])
+def test_particle_mass_must_be_positive_and_finite(mass):
+    with pytest.raises(ValueError):
+        ParticleSpec(z=1, mass=mass)
+
+
 def test_scipy_cross_check():
     # frozen values agree with scipy's CODATA table at their quoted precision
     from scipy import constants as sc
 
-    assert CONST.hbar == pytest.approx(sc.hbar, rel=1e-9)
-    assert CONST.eps0 == pytest.approx(sc.epsilon_0, rel=1e-9)
-    assert CONST.m_electron == pytest.approx(sc.m_e, rel=1e-9)
+    assert CONST.hbar == pytest.approx(sc.hbar, rel=1e-9, abs=0)
+    assert CONST.eps0 == pytest.approx(sc.epsilon_0, rel=1e-9, abs=0)
+    # the frozen CODATA-2018 m_e sits 1.31e-9 below scipy's CODATA-2022 value
+    assert CONST.m_electron == pytest.approx(sc.m_e, rel=2e-9, abs=0)

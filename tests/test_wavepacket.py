@@ -35,7 +35,7 @@ def test_density_fourier_normalization():
 
 def test_density_fourier_value():
     p = GaussianPacket(b=1.0, particle=ELECTRON)
-    assert density_fourier(p, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert density_fourier(p, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0)
 
 
 def test_density_fourier_negative_q():
@@ -79,25 +79,25 @@ def test_profile_normalization_error_carries_deficit():
 
     with pytest.raises(NormalizationError) as err:
         RadialProfile(rho=rho, support_radius=4e-9)
-    assert err.value.deficit == pytest.approx(1.0, rel=1e-6)
+    assert err.value.deficit == pytest.approx(1.0, rel=1e-6, abs=0)
 
 
 def test_internal_kinetic_value():
     # 3 hbar^2 / (16 m a_B^2) = (3/8) Rydberg
     p = GaussianPacket(b=A_B, particle=ELECTRON)
     rydberg = derived_scales(ELECTRON, 0.0).rydberg_like_energy
-    assert internal_kinetic_energy(p) == pytest.approx(0.375 * rydberg, rel=1e-12)
-    assert internal_kinetic_energy(p) / EV == pytest.approx(5.1021, rel=1e-4)
+    assert internal_kinetic_energy(p) == pytest.approx(0.375 * rydberg, rel=1e-12, abs=0)
+    assert internal_kinetic_energy(p) / EV == pytest.approx(5.1021, rel=1e-4, abs=0)
 
 
 def test_internal_kinetic_scalings():
     p1 = GaussianPacket(b=A_B, particle=ELECTRON)
     p2 = GaussianPacket(b=2 * A_B, particle=ELECTRON)
     assert internal_kinetic_energy(p2) == pytest.approx(
-        internal_kinetic_energy(p1) / 4.0, rel=1e-14)
+        internal_kinetic_energy(p1) / 4.0, rel=1e-14, abs=0)
     pp = GaussianPacket(b=A_B, particle=PROTON)
     assert internal_kinetic_energy(pp) == pytest.approx(
-        internal_kinetic_energy(p1) * ELECTRON.mass / PROTON.mass, rel=1e-14)
+        internal_kinetic_energy(p1) * ELECTRON.mass / PROTON.mass, rel=1e-14, abs=0)
 
 
 def test_internal_kinetic_b2_invariant():
@@ -107,14 +107,14 @@ def test_internal_kinetic_b2_invariant():
         value = internal_kinetic_energy(p) * b**2
         if ref is None:
             ref = value
-        assert value == pytest.approx(ref, rel=1e-14)
+        assert value == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_internal_kinetic_numeric_oracle():
     for b in (1e-12, A_B, 1e-6):
         p = GaussianPacket(b=b, particle=ELECTRON)
         assert internal_kinetic_energy_numeric(p) == pytest.approx(
-            internal_kinetic_energy(p), rel=1e-10)
+            internal_kinetic_energy(p), rel=1e-10, abs=0)
 
 
 def test_profile_csv_roundtrip(tmp_path):

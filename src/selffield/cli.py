@@ -3,7 +3,8 @@ grid evolution, and the self-validation suite.
 
 Exit codes: 0 success, 2 configuration/schema error or an input that fails
 its range check (negative, NaN or infinite width, beta outside [0, 1),
-unknown mode, malformed snapshot, ...), 3 numeric failure (no minimum, no
+unknown mode, malformed snapshot, a config value of the wrong JSON type, a
+grid too large for physical memory, ...), 3 numeric failure (no minimum, no
 localization, grid mismatch, a result that overflows or is not finite, ...),
 4 I/O error.  Outputs are deterministic: identical configs produce
 byte-identical CSV/JSON, all numerics are written with 12 significant
@@ -14,6 +15,7 @@ constants version, mode, and tool version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -208,6 +210,10 @@ def cmd_evolve(args) -> int:
         packet = GaussianPacket(b=args.b, particle=particle, beta=args.beta)
         state = init_grid(spec, packet)
     traj = evolve(state, spec, args.steps, record_stride=args.stride)
+    for rec in traj.records:   # nothing is written unless every value is finite
+        for field in dataclasses.fields(rec):
+            if not np.all(np.isfinite(getattr(rec, field.name))):
+                raise FloatingPointError(f"non-finite {field.name} at step {rec.step}")
     text = "\n".join(traj.to_csv_rows())
     _write_output(args.output, text, {"command": "evolve"})
     if args.snapshot_out is not None:
@@ -318,14 +324,20 @@ CONFIG_KEYS = {
                "snapshot_in", "snapshot_out", "output"},
     "validate": {"skip_dynamics", "output"},
 }
+# the store_true flags: the only keys that take a JSON boolean
+CONFIG_SWITCHES = {"coupling_off", "include_diagonal_na", "skip_dynamics"}
 
 
-def config_to_argv(config: dict) -> list[str]:
-    """Translate a JSON config into an argv list, rejecting unknown keys."""
+def config_to_argv(config) -> list[str]:
+    """Translate a JSON config object into an argv list, rejecting unknown
+    keys, a command that is not a string, and values of the wrong JSON type:
+    true/false for the switches, a string or a number for every other key."""
+    if not isinstance(config, dict):
+        raise ConfigError("config", f"expected a JSON object, got {type(config).__name__}")
     if "command" not in config:
         raise ConfigError("command", "missing")
     command = config["command"]
-    if command not in CONFIG_KEYS:
+    if not isinstance(command, str) or command not in CONFIG_KEYS:
         raise ConfigError("command", f"unknown command {command!r}")
     allowed = CONFIG_KEYS[command]
     argv = [command]
@@ -336,11 +348,16 @@ def config_to_argv(config: dict) -> list[str]:
             raise ConfigError(f"{command}.{key}",
                               f"unknown or irrelevant key for command {command!r}")
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
+        if key in CONFIG_SWITCHES:
+            if not isinstance(value, bool):
+                raise ConfigError(f"{command}.{key}", "expected true or false")
             if value:
                 argv.append(flag)
-        else:
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
             argv.extend([flag, str(value)])
+        else:
+            raise ConfigError(f"{command}.{key}", "expected a string or a number, "
+                              f"got {type(value).__name__}")
     return argv
 
 

@@ -8,7 +8,8 @@ A-dependent factor with the field refreshed from the midpoint psi, half
 kinetic step again.  The A^2 term is a pure phase; the mixed A.grad term is
 applied through a short unitarized polynomial of the anti-Hermitian
 generator (A.grad + div(A .)), keeping per-step norm drift at roundoff.
-The real current and field pass through the half spectrum (rfftn/irfftn).
+The real current and field pass through the half spectrum (rfftn/irfftn),
+in the step and in the diagnostics records alike.
 
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
@@ -22,7 +23,7 @@ Monitored invariants: norm, the conserved energy in the form
 kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
 correction), total momentum (matter + field), and a power-balance residual
 standing in for the Poynting surface flux, which vanishes identically on a
-torus.
+torus.  A record costs 12 complex and 12 half-size real transforms.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ SNAPSHOT_VERSION = 1
 # The polynomial I + Y + Y^2/2 loses norm at O(|Y|^4 / 4), about 2.5e-9 per
 # step at this bound; the acceptance runs sit near 5e-5.
 MIXED_GENERATOR_LIMIT = 1e-2
+
+# Peak memory per grid point of init_grid plus a record-every-step evolve:
+# 458 B measured above the import baseline at n = 128 (28.6 complex n^3
+# arrays), rounded up to 32 arrays as headroom for FFT scratch.
+GRID_BYTES_PER_POINT = 32 * 16
+
+
+def _physical_memory() -> int:
+    """Physical memory in bytes; 0 where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 0
 
 
 def _fft_workers() -> int:
@@ -75,6 +89,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 32 or self.n > 512 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two in {32 ... 512}")
+        need, have = GRID_BYTES_PER_POINT * self.n**3, _physical_memory()
+        if 0 < have < need:
+            raise ValueError(f"n = {self.n} needs about {need / 2**30:.1f} GiB, more "
+                             f"than the {have / 2**30:.1f} GiB of physical memory")
         if not 0.0 < self.box < math.inf:
             raise ValueError("box edge must be positive and finite")
         if not 0.0 < self.dt < math.inf:
@@ -185,6 +203,13 @@ class _Workspace:
         n = self.spec.n
         return sfft.irfftn(a_hat, s=(n, n, n), axes=(-3, -2, -1),
                            workers=self.workers, overwrite_x=True)
+
+    def half_sum(self, x) -> float:
+        """Full-spectrum sum of a quantity even under k -> -k (such as
+        |f_hat|^2 of a real f) from its rfftn half: interior k_z planes
+        count twice, the k_z = 0 and Nyquist planes once."""
+        return 2.0 * float(np.sum(x)) - float(np.sum(x[..., 0])) \
+            - float(np.sum(x[..., -1]))
 
     def integral(self, values) -> float:
         """sum over grid times the volume element."""
@@ -465,18 +490,21 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
                 step_index: int = 0) -> DiagnosticsRecord:
     """Evaluate norm, conserved energy, momentum, and the flux residual.
 
-    The transverse E-field is obtained without time history from
-    E_hat = -P_perp dj/dt_hat / (eps0 c^2 k^2), with dj/dt computed from
-    the instantaneous Schroedinger flow.  The d^2/dt^2 int A^2 correction
-    uses the last three per-step values when a2_history is supplied,
-    otherwise it is reported as zero.
+    A and the transverse E-field take the step's field path,
+    vector_potential_hat of an rfftn half spectrum: A from the current, and
+    E_hat = -P_perp dj/dt_hat / (eps0 c^2 k^2) without time history, with
+    dj/dt computed from the instantaneous Schroedinger flow.  Spectral sums
+    run over the half spectrum (_Workspace.half_sum).  The magnetic energy
+    needs no curl: for the slaved field eps0 c^2 int B^2 = int j.A exactly
+    on the grid.  The d^2/dt^2 int A^2 correction uses the last three
+    per-step values when a2_history is supplied, otherwise it is reported
+    as zero.
     """
     if ws is None:
         ws = _Workspace(spec)
     psi = state.psi
     psi_hat = ws.fftn(psi)
-    n3 = spec.n**3
-    dv_k = ws.dv / n3
+    dv_k = ws.dv / spec.n**3
 
     norm = ws.integral(np.abs(psi) ** 2)
     weight = np.abs(psi_hat) ** 2
@@ -491,26 +519,23 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
             interaction=0.0, efield_energy=0.0, a2_rate_term=0.0,
             field_energy=0.0, current_dot_e=0.0)
 
-    # slaved field and interaction energy
+    # slaved field and interaction energy, on the step's half-spectrum path
     grad = ws.ifftn(ws.gradient_hat(psi_hat), overwrite=True)
     j_can = ws.current(psi, grad)
     j_src = ws.current(psi, grad, a_field=state.a_field) \
         if spec.include_diagonal_na else j_can
-    j_hat = ws.fftn(j_src)
-    a_hat = ws.vector_potential_hat(j_hat)
-    a_field = np.real(ws.ifftn(a_hat))
+    a_hat = ws.vector_potential_hat(ws.rfftn(j_src))
+    a_field = ws.irfftn(a_hat.copy())
     interaction = -0.5 * ws.integral(np.sum(j_can * a_field, axis=0))
 
     # E_perp from the instantaneous current derivative (no history needed)
     h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field, grad)
-    h_hat = ws.fftn(h_psi)
-    grad_h = ws.ifftn(ws.gradient_hat(h_hat), overwrite=True)
+    grad_h = ws.ifftn(ws.gradient_hat(ws.fftn(h_psi)), overwrite=True)
     dj_dt = (ws.charge / spec.particle.mass) * (
         np.real(np.conj(h_psi)[None, ...] * grad)
         - np.real(np.conj(psi)[None, ...] * grad_h))
-    dj_hat = ws.fftn(dj_dt)
-    e_hat = -ws.vector_potential_hat(dj_hat)
-    efield_energy = CONST.eps0 * dv_k * float(np.sum(np.abs(e_hat) ** 2))
+    e_hat = -ws.vector_potential_hat(ws.rfftn(dj_dt))
+    efield_energy = CONST.eps0 * dv_k * ws.half_sum(np.abs(e_hat) ** 2)
 
     # d^2/dt^2 int A^2 from the last three per-step midpoint values
     a2_term = 0.0
@@ -523,19 +548,15 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     # momentum: field part eps0 sum_j int E_j grad A_j, i.e. the k-weighted
     # sums of Re(conj(e_hat) . i a_hat) = Im(e_hat . conj(a_hat))
     e_dot_a = np.imag(np.sum(e_hat * np.conj(a_hat), axis=0))
+    kgx, kgy, kgz = ws.k_grad_axes
     p_field = CONST.eps0 * dv_k * np.array(
-        [float(np.sum(kg * e_dot_a)) for kg in ws.k_grad_axes])
+        [ws.half_sum(kg * e_dot_a)
+         for kg in (kgx, kgy, kgz[..., :e_dot_a.shape[-1]])])
 
-    # power balance: d(field energy)/dt + int j.E should vanish
-    ikx, iky, ikz = ws.ik_grad_axes
-    b_hat = np.empty_like(a_hat)
-    b_hat[0] = iky * a_hat[2] - ikz * a_hat[1]
-    b_hat[1] = ikz * a_hat[0] - ikx * a_hat[2]
-    b_hat[2] = ikx * a_hat[1] - iky * a_hat[0]
-    field_energy = 0.5 * CONST.eps0 * dv_k * (
-        float(np.sum(np.abs(e_hat) ** 2))
-        + CONST.c**2 * float(np.sum(np.abs(b_hat) ** 2)))
-    e_field = np.real(ws.ifftn(e_hat))
+    # power balance: d(field energy)/dt + int j.E should vanish.  Slaved A has
+    # k^2 |a_hat|^2 = Re(conj(a_hat).j_hat)/(eps0 c^2): eps0 c^2 int B^2 = int j.A
+    field_energy = 0.5 * (efield_energy + ws.integral(np.sum(j_src * a_field, axis=0)))
+    e_field = ws.irfftn(e_hat)
     current_dot_e = ws.integral(np.sum(j_can * e_field, axis=0))
     flux_residual = 0.0
     if prev_power is not None:
@@ -554,19 +575,18 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
 def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
-    grad psi in real space."""
-    kin = ws.ifftn(ws.kin_omega * CONST.hbar * psi_hat)
-    stack = a_field * psi[None, ...]
-    stack_hat = ws.fftn(stack)
+    grad psi in real space.  The kinetic spectrum and div(A psi) share one
+    inverse transform."""
+    stack_hat = ws.fftn(a_field * psi[None, ...], overwrite=True)
+    coeff = 1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass)
     ikx, iky, ikz = ws.ik_grad_axes
-    div_apsi = ws.ifftn(ikx * stack_hat[0] + iky * stack_hat[1]
-                        + ikz * stack_hat[2], overwrite=True)
-    a_grad = np.sum(a_field * grad, axis=0)
-    mixed = (1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass)) * (
-        a_grad + div_apsi)
-    diag = (ws.charge**2 / (2.0 * ws.spec.particle.mass)) * np.sum(
+    h_hat = coeff * (ikx * stack_hat[0] + iky * stack_hat[1] + ikz * stack_hat[2])
+    h_hat += ws.kin_omega * CONST.hbar * psi_hat
+    h_psi = ws.ifftn(h_hat, overwrite=True)
+    h_psi += coeff * np.sum(a_field * grad, axis=0)
+    h_psi += (ws.charge**2 / (2.0 * ws.spec.particle.mass)) * np.sum(
         a_field**2, axis=0) * psi
-    return kin + mixed + diag
+    return h_psi
 
 
 @dataclass

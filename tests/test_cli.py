@@ -181,6 +181,26 @@ def test_config_rejects_irrelevant_field(tmp_path, capsys):
     assert "minimize.b" in err
 
 
+@pytest.mark.parametrize("doc", [
+    5,
+    ["command", "atom"],
+    {"command": ["x"]},
+    {"command": "atom", "atom": "H", "beta": False},
+    {"command": "atom", "atom": "H", "b": False},
+    {"command": "minimize", "particle": "electron", "beta": 0.1, "output": None},
+    {"command": "evolve", "particle": "electron", "coupling_off": 1, "steps": 1},
+], ids=["number", "list", "command-list", "beta-false", "b-false", "output-null",
+        "switch-number"])
+def test_config_type_errors_are_config_errors(tmp_path, capsys, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("selffield: config error: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_config_missing_file(capsys):
     code, _, _ = run_cli(capsys, "--config", "/nonexistent/path.json")
     assert code == EXIT_IO
@@ -233,6 +253,34 @@ def test_evolve_grid_mismatch_is_numeric_error(capsys, tmp_path):
                            "--box", "2.4e-10", "--dt", "2e-19", "--steps", "2")
     assert code == EXIT_NUMERIC
     assert "resolution" in err
+
+
+def test_evolve_non_finite_output_writes_nothing(capsys, tmp_path):
+    # a 1e-60 m packet overflows the current: NaN energies are a numeric
+    # failure, and neither the CSV, its sidecar nor the snapshot is written
+    out, snap = tmp_path / "traj.csv", tmp_path / "s.bin"
+    code, stdout, err = run_cli(capsys, "evolve", "--particle", "electron",
+                                "--b", "1e-60", "--box", "8e-60", "--dt", "1e-300",
+                                "--beta", "0.1", "--n", "32", "--steps", "2",
+                                "--output", str(out), "--snapshot-out", str(snap))
+    assert code == EXIT_NUMERIC
+    assert stdout == ""
+    assert "non-finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_grid_beyond_physical_memory_is_config_error(capsys, tmp_path, monkeypatch):
+    from selffield import dynamics
+
+    path, _, _ = _write_snapshot(tmp_path)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2**20)
+    code, out, err = run_cli(capsys, "evolve", "--particle", "electron", "--b", "3e-11",
+                             "--n", "32", "--box", "2.4e-10", "--dt", "2e-19", "--steps", "1")
+    assert code == EXIT_CONFIG
+    assert out == "" and "GiB of physical memory" in err
+    code, out, err = run_cli(capsys, "evolve", "--snapshot-in", str(path), "--steps", "1")
+    assert code == EXIT_CONFIG
+    assert err.startswith("selffield: config error: snapshot_in: ")
 
 
 @pytest.mark.parametrize("argv", [

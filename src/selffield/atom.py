@@ -84,22 +84,25 @@ def atom_charge_density_fourier(a: NeutralAtom, b: float, q: float) -> float:
     return a.z_nucleus * CONST.e_charge * math.exp(-(b * q) ** 2) * screening
 
 
-def _energy_prefactor(a: NeutralAtom) -> float:
-    return (a.z_nucleus * CONST.e_charge) ** 2 / (
-        8.0 * math.sqrt(2.0) * math.pi**1.5 * CONST.eps0)
+def _scaled_bracket(u: float) -> float:
+    """b * screened_bracket(b, gamma) at u = b/gamma, in [0, 1].
+
+    Evaluated in the all-positive form t^2 (1 + q/(p+1)) / (2 q(q+1) p(p+q)),
+    t = (gamma/b)^2 = 1/u^2, p = sqrt(1+t), q = sqrt(1+t/2), scaled by u so
+    that no step cancels.
+    """
+    u = min(u, 1e100)   # no inf/inf; past u ~ 1e78 the bracket is 0 anyway
+    p_u, q_u = math.hypot(u, 1.0), math.hypot(u, _SQRT_HALF)   # u p, u q
+    return (1.0 + q_u / (p_u + u)) / (2.0 * q_u * (q_u + u) * p_u * (p_u + q_u))
 
 
 def screened_bracket(b: float, gamma: float) -> float:
     """The length-inverse bracket 1/b - 2 sqrt(2)/sqrt(2b^2+g^2) + 1/sqrt(b^2+g^2).
 
-    Lies in [0, 1/b] and is monotone non-decreasing in gamma at fixed b.
-    Evaluated in the all-positive form t^2 (1 + q/(p+1)) / (2b q(q+1) p(p+q)),
-    t = (gamma/b)^2, p = sqrt(1+t), q = sqrt(1+t/2), scaled by b/gamma so
-    that no step cancels; the value is finite wherever 1/b is.
+    Lies in [0, 1/b] and is monotone non-decreasing in gamma at fixed b; the
+    value is finite wherever 1/b is.
     """
-    u = min(b / gamma, 1e100)   # no inf/inf; past u ~ 1e78 the bracket is 0 anyway
-    p_u, q_u = math.hypot(u, 1.0), math.hypot(u, _SQRT_HALF)   # u p, u q
-    return (1.0 + q_u / (p_u + u)) / (2.0 * b * q_u * (q_u + u) * p_u * (p_u + q_u))
+    return _scaled_bracket(b / gamma) / b
 
 
 def _bracket_slope(u: float) -> float:
@@ -113,11 +116,13 @@ def atom_electrostatic_energy(a: NeutralAtom, b: float) -> float:
 
     (Z^2 e^2 / 8 sqrt(2) pi^(3/2) eps0) * screened_bracket(b, gamma); the
     bare-nucleus 1/b form is recovered for b << gamma and the energy
-    vanishes as (b/gamma)^-5 ... 0 for b >> gamma.
+    vanishes as (b/gamma)^-5 ... 0 for b >> gamma.  Formed as
+    bare_nucleus_energy times b * screened_bracket, finite wherever the
+    energy is.
     """
     if not 0.0 < b < math.inf:
         raise ValueError("centre-of-mass width b must be positive and finite")
-    return _energy_prefactor(a) * screened_bracket(b, a.gamma)
+    return bare_nucleus_energy(a, b) * _scaled_bracket(b / a.gamma)
 
 
 def atom_electrostatic_energy_quadrature(a: NeutralAtom, b: float) -> float:
@@ -140,7 +145,8 @@ def atom_electrostatic_energy_quadrature(a: NeutralAtom, b: float) -> float:
 
 def bare_nucleus_energy(a: NeutralAtom, b: float) -> float:
     """Unscreened reference (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b) (J)."""
-    return _energy_prefactor(a) / b
+    return (a.z_nucleus * CONST.e_charge) ** 2 / (
+        8.0 * math.sqrt(2.0) * math.pi**1.5 * CONST.eps0) / b
 
 
 def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:

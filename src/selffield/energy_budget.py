@@ -169,6 +169,9 @@ def assemble_budget(p: GaussianPacket, mode: BudgetMode = BudgetMode.PAPER_QUOTE
     convective = convective_energy(p)
     kinetic = internal_kinetic_energy(p)
     e_el = electrostatic_energy(p)
+    if e_el == 0.0 and p.particle.charge != 0.0:
+        # every self-field term is a multiple of E_el: none would be left
+        raise FloatingPointError(f"electrostatic self-energy underflows at b = {p.b:.3e} m")
     attraction = current_potential_energy(p)
     field = transverse_field_energy(p)
     if mode is BudgetMode.PAPER_QUOTED:

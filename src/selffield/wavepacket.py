@@ -79,8 +79,10 @@ def density_fourier(p: GaussianPacket, q: float) -> float:
 
 
 def internal_kinetic_energy(p: GaussianPacket) -> float:
-    """Internal (width) kinetic energy 3 hbar^2 / (16 M b^2) in joules."""
-    return 3.0 * CONST.hbar**2 / (16.0 * p.particle.mass * p.b**2)
+    """Internal (width) kinetic energy 3 hbar^2 / (16 M b^2) in joules; b*b
+    rather than b**2, so that a width too large to square gives 0, not
+    OverflowError."""
+    return 3.0 * CONST.hbar**2 / (16.0 * p.particle.mass * (p.b * p.b))
 
 
 def internal_kinetic_energy_numeric(p: GaussianPacket) -> float:
@@ -97,7 +99,7 @@ def internal_kinetic_energy_numeric(p: GaussianPacket) -> float:
         return s**2 * (s / 4.0) ** 2 * norm * math.exp(-(s**2) / 4.0)
 
     val, _ = quad(integrand, 0.0, U_MAX, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL)
-    return CONST.hbar**2 / (2.0 * mass * b**2) * 4.0 * math.pi * val
+    return CONST.hbar**2 / (2.0 * mass * (b * b)) * 4.0 * math.pi * val
 
 
 @dataclass(frozen=True)

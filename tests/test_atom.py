@@ -283,3 +283,13 @@ def test_atom_rejects_non_finite_inputs(kwargs):
     base = {"z_nucleus": 1, "mass_total": PROTON.mass + ELECTRON.mass, "gamma": A_B}
     with pytest.raises(ValueError):
         NeutralAtom(**{**base, **kwargs})
+
+
+@pytest.mark.parametrize("b", [1e-310, 5e-324])
+def test_screened_energy_finite_at_subnormal_width(b):
+    # the bracket alone (about 1/b) overflows, the energy does not: b << gamma
+    # leaves the bare nucleus
+    atom = hydrogen_atom()
+    energy = atom_electrostatic_energy(atom, b)
+    assert math.isfinite(energy)
+    assert energy == pytest.approx(bare_nucleus_energy(atom, b), rel=1e-15, abs=0)

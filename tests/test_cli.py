@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -397,6 +398,54 @@ def test_float_range_exit_codes(capsys, argv, expected):
     assert code == expected
     assert out == ""
     assert err.startswith("selffield: ")
+
+
+def _assert_finite_numbers(text):
+    cells = (json.loads(text).values() if text.startswith("{")
+             else [cell for line in text.splitlines()[1:] for cell in line.split(",")])
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            continue   # the mode label
+        assert math.isfinite(value), cell
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--particle", "electron", "--beta", "0.1", "--b", "1e160"],
+    ["atom", "--atom", "H", "--b", "1e-310"],
+    ["evolve", "--particle", "electron", "--b", "3e-11", "--box", "2.4e-10",
+     "--dt", "1e-170", "--n", "32", "--steps", "4"],
+], ids=["energy-b-1e160", "atom-b-1e-310", "evolve-dt-1e-170"])
+def test_representable_results_at_float_range_edges(capsys, argv):
+    # b * b overflows to inf where b**2 raised, so the kinetic energy at
+    # b = 1e160 is 0; the atom's 4.6e281 J is prefactor/b times b * bracket;
+    # the A^2 rate term divides by dt twice, not by dt^2 = 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    _assert_finite_numbers(out)
+
+
+def test_evolve_stops_at_first_non_finite_record(capsys, monkeypatch):
+    # the step-0 record of a 1e-60 m packet overflows: no step runs, and
+    # stderr is one line with no numpy warning before it
+    from selffield import dynamics
+
+    steps = []
+    original = dynamics.step
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "step", counted_step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "evolve", "--particle", "electron",
+                                 "--b", "1e-60", "--box", "8e-60", "--dt", "1e-300",
+                                 "--beta", "0.1", "--n", "32", "--steps", "60")
+    assert code == EXIT_NUMERIC and out == "" and steps == [] and caught == []
+    assert err.startswith("selffield: ") and err.count("\n") == 1
+    assert "at step 0" in err
 
 
 def test_sweep_tiny_beta_is_a_row_status(capsys):

@@ -4,6 +4,7 @@ stepping, diagnostics, trajectories, and snapshot serialization."""
 import json
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -574,33 +575,52 @@ def test_fused_evolve_matches_single_steps_uncoupled():
     _check_fused_evolve_matches_single_steps(coupling=False)
 
 
-def _check_transform_counts(monkeypatch, coupling, step_complex, step_real):
-    # n^3 transforms per call: a fused interior coupled step makes 21
-    # complex and 6 half-size real ones, an uncoupled one none, and a
-    # record at most 12 complex and 12 half-size real ones
+# scipy.fft functions that are not transforms, passed through uncounted
+_NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_len"}
+
+
+class _CountingFft:
+    """Stands in for scipy.fft inside dynamics and passes add the
+    n^3-equivalents of every transform: a pass over k of the 3 spatial axes
+    counts k/3 per field, a half-size real transform half of that.  Any other
+    transform function fails the test, so none goes uncounted."""
+
+    def __init__(self, add):
+        self.add = add
+
+    def __getattr__(self, name):
+        fn = getattr(sfft, name)
+        if name in _NOT_TRANSFORMS:
+            return fn
+        assert name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"), name
+
+        def counted(a, *args, **kwargs):
+            passes = len(kwargs["axes"]) if name.endswith("n") else 1
+            real = Fraction(1, 2) if name.startswith(("rfft", "irfft")) else 1
+            self.add(math.prod(a.shape[:-3]) * Fraction(passes, 3) * real)
+            return fn(a, *args, **kwargs)
+        return counted
+
+
+def _check_transform_counts(monkeypatch, coupling, step_max):
+    # n^3-equivalents per call: a fused interior coupled step makes 15, an
+    # uncoupled one none, and a record at most 14
     calls = []
 
-    def count(method, kind):
-        original = getattr(_Workspace, method)
-
-        def wrapper(self, a, *args, **kwargs):
-            calls[-1][1][kind] += math.prod(a.shape[:-3])
-            return original(self, a, *args, **kwargs)
-        monkeypatch.setattr(_Workspace, method, wrapper)
+    def add(weight):
+        calls[-1][1] += weight
 
     def phase(name):
         original = getattr(dynamics, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, {"complex": 0, "real": 0}))
+            calls.append([name, 0])
             return original(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, wrapper)
 
     spec = small_spec(coupling=coupling)
     state = init_grid(spec, packet())
-    for method, kind in (("fftn", "complex"), ("ifftn", "complex"),
-                         ("rfftn", "real"), ("irfftn", "real")):
-        count(method, kind)
+    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add))
     phase("step")
     phase("diagnostics")
     evolve(state, spec, 6, record_stride=6)
@@ -609,19 +629,17 @@ def _check_transform_counts(monkeypatch, coupling, step_complex, step_real):
     records = [c for name, c in calls if name == "diagnostics"]
     assert len(steps) == 6 and len(records) == 2
     for c in steps[1:-1]:
-        assert c["complex"] <= step_complex and c["real"] <= step_real
+        assert c <= step_max
     for c in records:
-        assert c["complex"] <= 12 and c["real"] <= 12
+        assert c <= 14
 
 
 def test_transform_counts_per_step_and_record(monkeypatch):
-    _check_transform_counts(monkeypatch, coupling=True,
-                            step_complex=21, step_real=6)
+    _check_transform_counts(monkeypatch, coupling=True, step_max=15)
 
 
 def test_transform_counts_per_step_and_record_uncoupled(monkeypatch):
-    _check_transform_counts(monkeypatch, coupling=False,
-                            step_complex=0, step_real=0)
+    _check_transform_counts(monkeypatch, coupling=False, step_max=0)
 
 
 # --- snapshots -----------------------------------------------------------------------

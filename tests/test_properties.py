@@ -27,6 +27,9 @@ from selffield.cli import CONFIG_KEYS, CONFIG_SWITCHES, main  # noqa: E402
 from selffield.scales import CONST, PARTICLE_PRESETS  # noqa: E402
 
 FLOATS = st.floats()
+# widths at every decade of the float range too, subnormals included, where
+# squares overflow and reciprocals exceed the largest float
+WIDTHS = FLOATS | st.integers(-323, 308).map(lambda e: float(f"1e{e}"))
 MODES = st.sampled_from(["PaperQuoted", "Assembled"])
 
 
@@ -47,7 +50,7 @@ def argvs(draw):
     command = draw(st.sampled_from(["energy", "minimize", "sweep", "atom"]))
     if command == "energy":
         return (["energy"] + draw(particle_args())
-                + [_opt("beta", draw(FLOATS)), _opt("b", draw(FLOATS)),
+                + [_opt("beta", draw(FLOATS)), _opt("b", draw(WIDTHS)),
                    _opt("mode", draw(MODES)),
                    _opt("format", draw(st.sampled_from(["json", "csv"])))])
     if command == "minimize":
@@ -63,7 +66,7 @@ def argvs(draw):
     else:
         atom = [_opt("z-nucleus", draw(st.integers(1, 4))),
                 _opt("mass-total-kg", draw(FLOATS)), _opt("gamma-m", draw(FLOATS))]
-    tail = [_opt("b", draw(FLOATS))] if draw(st.booleans()) else []
+    tail = [_opt("b", draw(WIDTHS))] if draw(st.booleans()) else []
     return ["atom"] + atom + [_opt("beta", draw(FLOATS))] + tail
 
 
@@ -83,6 +86,9 @@ def _check_finite_csv(text):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(argv=argvs())
+@example(argv=["energy", "--particle=electron", "--beta=0.1", "--b=1e+160"])
+@example(argv=["atom", "--atom=H", "--b=1e-310"])
+@example(argv=["atom", "--atom=H", "--b=5e-324"])
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -103,14 +109,16 @@ def test_cli_exit_code_contract(argv):
 
 # --- evolve argv and --config documents -----------------------------------------
 
-def _run_in_tempdir(argv, config=None):
+def _run_in_tempdir(argv, config=None, warning_action="ignore"):
     """Exit code (argparse's SystemExit counts), stdout, stderr and the text of
-    the output file, in a fresh working directory holding config as run.json."""
+    the output file, in a fresh working directory holding config as run.json.
+    Warnings that pass the filter warning_action lead stderr, as the CLI
+    would print them."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_action)
         if config is not None:
             with open("run.json", "w") as fh:
                 json.dump(config, fh)
@@ -122,7 +130,9 @@ def _run_in_tempdir(argv, config=None):
         if code == 0 and os.path.exists("out.csv"):
             with open("out.csv") as fh:
                 written = fh.read()
-    return code, out.getvalue(), err.getvalue(), written
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), shown + err.getvalue(), written
 
 
 def _check_contract(code, out, err, written, context):
@@ -175,8 +185,14 @@ def evolve_argvs(draw):
 @example(argv=["evolve", "--particle=electron", "--b=1e-60", "--box=8e-60",
                "--dt=1e-300", "--beta=0.1", "--n=32", "--steps=2",
                "--snapshot-out=s.bin"])
+@example(argv=["evolve", "--particle=electron", "--b=3e-11", "--box=2.4e-10",
+               "--dt=1e-170", "--n=32", "--steps=3"])
 def test_evolve_exit_code_contract(argv):
-    _check_contract(*_run_in_tempdir(argv), argv)
+    # every warning is shown: a failure prints exactly one selffield: line
+    code, out, err, written = _run_in_tempdir(argv, warning_action="always")
+    _check_contract(code, out, err, written, argv)
+    if code != 0:
+        assert err.startswith("selffield: ") and err.count("\n") == 1, (argv, err)
 
 
 JSON = st.recursive(

@@ -53,14 +53,14 @@ class NeutralAtom:
             raise ValueError("mass_total must be finite and above the nuclear mass bound")
 
 
-def _bohr_radius() -> float:
-    return derived_scales(ELECTRON, 0.0).bohr_like_length
+# the Bohr radius a_B (m): hydrogen's cloud radius
+BOHR_RADIUS = derived_scales(ELECTRON, 0.0).bohr_like_length
 
 
 def hydrogen_atom() -> NeutralAtom:
     """Hydrogen preset: proton + electron, cloud radius a_B."""
     return NeutralAtom(z_nucleus=1, mass_total=PROTON.mass + ELECTRON.mass,
-                       gamma=_bohr_radius(), label="H")
+                       gamma=BOHR_RADIUS, label="H")
 
 
 def helium_atom() -> NeutralAtom:
@@ -68,7 +68,7 @@ def helium_atom() -> NeutralAtom:
     (variational screened-charge estimate)."""
     return NeutralAtom(z_nucleus=2,
                        mass_total=4.002602 * AMU_ELECTRON_RATIO * ELECTRON.mass,
-                       gamma=_bohr_radius() / 1.6875, label="He")
+                       gamma=BOHR_RADIUS / 1.6875, label="He")
 
 
 ATOM_PRESETS = {"H": hydrogen_atom, "He": helium_atom}

@@ -1,15 +1,19 @@
 """Command-line front door: energy budgets, minimization, sweeps, atoms,
 grid evolution, and the self-validation suite.
 
-Exit codes: 0 success, 2 configuration/schema error or an input that fails
-its range check (negative, NaN or infinite width, beta outside [0, 1),
-unknown mode, malformed snapshot, a config value of the wrong JSON type, a
-grid too large for physical memory, ...), 3 numeric failure (no minimum, no
+Exit codes: 0 success, 1 from validate when an invariant fails, 2
+configuration/schema error or an input that fails its range check
+(negative, NaN or infinite width, beta outside [0, 1), unknown mode,
+malformed snapshot, a config value of the wrong JSON type, a grid too large
+for physical memory, a particle, packet, grid or coupling flag given with
+--snapshot-in, which fixes them, ...), 3 numeric failure (no minimum, no
 localization, grid mismatch, a result that overflows or is not finite, ...),
-4 I/O error.  Outputs are deterministic: identical configs produce
-byte-identical CSV/JSON, all numerics are written with 12 significant
-digits, and each output file gets a .meta.json sidecar recording the
-constants version, mode, and tool version.
+4 I/O error.  A --config file takes exactly the subcommand's flags as keys
+(the schema is read off the argument parser).  Outputs are deterministic:
+identical configs produce byte-identical CSV/JSON, all numerics are written
+with 12 significant digits, and each output file gets a .meta.json sidecar
+recording the constants version, mode, and tool version.  A warning (beta
+past the soft limit) is one "selffield: warning:" line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import argparse
 import json
 import math
 import sys
+import warnings
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InvalidVelocityError, SelfFieldError
@@ -26,7 +33,8 @@ from .wavepacket import GaussianPacket
 from .energy_budget import BudgetMode, assemble_budget
 from .localization import SWEEP_FIELDS, minimize_radius, sweep
 from .atom import ATOM_PRESETS, NeutralAtom, atom_electrostatic_energy, atom_minimize
-from .dynamics import _fft_workers
+from .dynamics import (GridSpec, _fft_workers, evolve, init_grid, load_snapshot,
+                       save_snapshot)
 from .validate import parse_report, report_to_json, run_validation
 
 EXIT_OK = 0
@@ -87,11 +95,7 @@ def parse_beta_grid(text: str) -> list[float]:
 
 def _parse_particle(args) -> ParticleSpec:
     if args.particle is not None:
-        preset = PARTICLE_PRESETS.get(args.particle)
-        if preset is None:
-            raise ConfigError("particle", f"unknown preset {args.particle!r} "
-                              f"(available: {', '.join(sorted(PARTICLE_PRESETS))})")
-        return preset
+        return PARTICLE_PRESETS[args.particle]
     if args.z is None or args.mass_kg is None:
         raise ConfigError("particle", "need --particle or both --z and --mass-kg")
     return ParticleSpec(z=args.z, mass=args.mass_kg, label=f"z={args.z}")
@@ -111,22 +115,37 @@ def _parse_atom(args) -> NeutralAtom:
                        gamma=args.gamma_m)
 
 
-def _write_output(path: str | None, text: str, meta: dict):
+def _write_output(path: str | None, text: str, args, mode: str | None = None):
+    """text, newline-terminated, to path or stdout; a file gets a .meta.json
+    sidecar naming args.command and, for the budget commands, the mode."""
+    text += "" if text.endswith("\n") else "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    sidecar = {"constants_version": CONSTANTS_VERSION,
-               "tool_version": __version__}
-    sidecar.update(meta)
+    sidecar = {"constants_version": CONSTANTS_VERSION, "tool_version": __version__,
+               "command": args.command}
+    if mode is not None:
+        sidecar["mode"] = mode
     with open(path + ".meta.json", "w") as fh:
-        json.dump(_round12(sidecar), fh, sort_keys=True)
+        json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _emit(args, payload, fields=(), mode=None) -> int:
+    """Write a result dict (or a list of them) rounded to 12 significant
+    digits: sorted JSON, or under --format csv a header over fields and one
+    row per dict."""
+    payload = _round12(payload)
+    if getattr(args, "format", "json") == "csv":
+        rows = payload if isinstance(payload, list) else [payload]
+        text = "\n".join([",".join(fields)]
+                         + [",".join(_fmt(row[f]) for f in fields) for row in rows])
+    else:
+        text = json.dumps(payload, sort_keys=True)
+    _write_output(args.output, text, args, mode)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -138,81 +157,61 @@ def cmd_energy(args) -> int:
     mode = BudgetMode.parse(args.mode)
     packet = GaussianPacket(b=args.b, particle=particle, beta=args.beta)
     budget = assemble_budget(packet, mode)
-    payload = _round12(budget.to_dict())
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True)
-    else:
-        text = (",".join(budget.CSV_FIELDS) + "\n"
-                + ",".join(_fmt(payload[f]) for f in budget.CSV_FIELDS))
-    _write_output(args.output, text, {"mode": mode.value, "command": "energy"})
-    return EXIT_OK
+    return _emit(args, budget.to_dict(), budget.CSV_FIELDS, mode.value)
 
 
 def cmd_minimize(args) -> int:
     particle = _parse_particle(args)
     mode = BudgetMode.parse(args.mode)
     res = minimize_radius(particle, args.beta, mode)
-    payload = _round12(res.to_dict())
-    text = json.dumps(payload, sort_keys=True)
-    _write_output(args.output, text, {"mode": mode.value, "command": "minimize"})
-    return EXIT_OK
+    return _emit(args, res.to_dict(), mode=mode.value)
 
 
 def cmd_sweep(args) -> int:
     particle = _parse_particle(args)
     mode = BudgetMode.parse(args.mode)
-    grid = parse_beta_grid(args.beta)
-    rows = sweep(particle, grid, mode)
-    if args.format == "json":
-        text = json.dumps([_round12(r.to_dict()) for r in rows], sort_keys=True)
-    else:
-        lines = [",".join(SWEEP_FIELDS)]
-        for row in rows:
-            d = _round12(row.to_dict())
-            lines.append(",".join(_fmt(d[f]) for f in SWEEP_FIELDS))
-        text = "\n".join(lines)
-    _write_output(args.output, text, {"mode": mode.value, "command": "sweep"})
-    return EXIT_OK
+    rows = sweep(particle, parse_beta_grid(args.beta), mode)
+    return _emit(args, [r.to_dict() for r in rows], SWEEP_FIELDS, mode.value)
 
 
 def cmd_atom(args) -> int:
     atom = _parse_atom(args)
     if args.b is not None:
-        energy_ev = atom_electrostatic_energy(atom, args.b) / EV
-        payload = _round12({"z_nucleus": atom.z_nucleus, "gamma_m": atom.gamma,
-                            "b_m": args.b, "electrostatic_eV": energy_ev})
-    else:
-        res = atom_minimize(atom, args.beta)
-        payload = _round12(res.to_dict())
-        payload["gamma_m"] = _round12(atom.gamma)
-    text = json.dumps(payload, sort_keys=True)
-    _write_output(args.output, text, {"command": "atom"})
-    return EXIT_OK
+        return _emit(args, {"z_nucleus": atom.z_nucleus, "gamma_m": atom.gamma,
+                            "b_m": args.b,
+                            "electrostatic_eV": atom_electrostatic_energy(atom, args.b) / EV})
+    return _emit(args, {**atom_minimize(atom, args.beta).to_dict(), "gamma_m": atom.gamma})
+
+
+# the fields a snapshot fixes: given with --snapshot-in they are refused
+SNAPSHOT_FIELDS = ("particle", "z", "mass_kg", "beta", "b", "n", "box", "dt",
+                   "coupling_off", "include_diagonal_na")
 
 
 def cmd_evolve(args) -> int:
-    import numpy as np
-
-    from .dynamics import GridSpec, evolve, init_grid, load_snapshot, save_snapshot
-
     # evolve stops at the first non-finite record, so numpy's warnings about
     # the overflow behind it stay off stderr
     with np.errstate(all="ignore"):
         if args.snapshot_in is not None:
+            for name in SNAPSHOT_FIELDS:
+                if getattr(args, name) is not None and getattr(args, name) is not False:
+                    raise ConfigError("--" + name.replace("_", "-"),
+                                      "fixed by the snapshot given with --snapshot-in")
             state, spec = load_snapshot(args.snapshot_in)
         else:
             for name in ("b", "box", "dt"):
                 if getattr(args, name) is None:
                     raise ConfigError(name, "required unless --snapshot-in is given")
             particle = _parse_particle(args)
-            spec = GridSpec(n=args.n, box=args.box, dt=args.dt, particle=particle,
+            spec = GridSpec(n=64 if args.n is None else args.n, box=args.box,
+                            dt=args.dt, particle=particle,
                             coupling=not args.coupling_off,
                             include_diagonal_na=args.include_diagonal_na)
-            packet = GaussianPacket(b=args.b, particle=particle, beta=args.beta)
+            packet = GaussianPacket(b=args.b, particle=particle,
+                                    beta=0.1 if args.beta is None else args.beta)
             state = init_grid(spec, packet)
         traj = evolve(state, spec, args.steps, record_stride=args.stride)
-    text = "\n".join(traj.to_csv_rows())
-    _write_output(args.output, text, {"command": "evolve"})
+    _write_output(args.output, "\n".join(traj.to_csv_rows()), args)
     if args.snapshot_out is not None:
         save_snapshot(traj.final_state, spec, args.snapshot_out)
     return EXIT_OK
@@ -222,7 +221,7 @@ def cmd_validate(args) -> int:
     report = run_validation(include_dynamics=not args.skip_dynamics)
     text = report_to_json(_round12(report))
     parse_report(text)   # report must round-trip through its own parser
-    _write_output(args.output, text, {"command": "validate"})
+    _write_output(args.output, text, args)
     return EXIT_OK if report["all_passed"] else 1
 
 
@@ -287,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evo = subs.add_parser("evolve", help="co-evolve the packet and its field on a grid")
     _add_particle_args(p_evo)
-    p_evo.add_argument("--beta", type=float, default=0.1)
+    p_evo.add_argument("--beta", type=float, help="packet velocity / c (default 0.1)")
     p_evo.add_argument("--b", type=float, help="packet width in m")
-    p_evo.add_argument("--n", type=int, default=64, help="grid points per axis")
+    p_evo.add_argument("--n", type=int, help="grid points per axis (default 64)")
     p_evo.add_argument("--box", type=float, help="box edge in m")
     p_evo.add_argument("--dt", type=float, help="time step in s")
     p_evo.add_argument("--steps", type=int, required=True)
@@ -310,19 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# strict schema for --config files: exactly the flags of each subcommand
-CONFIG_KEYS = {
-    "energy": {"particle", "z", "mass_kg", "beta", "b", "mode", "output", "format"},
-    "minimize": {"particle", "z", "mass_kg", "beta", "mode", "output"},
-    "sweep": {"particle", "z", "mass_kg", "beta", "mode", "output", "format"},
-    "atom": {"atom", "z_nucleus", "mass_total_kg", "gamma_m", "beta", "b", "output"},
-    "evolve": {"particle", "z", "mass_kg", "beta", "b", "n", "box", "dt",
-               "steps", "stride", "coupling_off", "include_diagonal_na",
-               "snapshot_in", "snapshot_out", "output"},
-    "validate": {"skip_dynamics", "output"},
-}
-# the store_true flags: the only keys that take a JSON boolean
-CONFIG_SWITCHES = {"coupling_off", "include_diagonal_na", "skip_dynamics"}
+# strict schema for --config files, read off the parser: exactly the flags of
+# each subcommand, and the store_true switches, the only keys that take a
+# JSON boolean
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+CONFIG_KEYS = {name: {a.dest for a in sub._actions if a.dest != "help"}
+               for name, sub in _SUBCOMMANDS.items()}
+CONFIG_SWITCHES = {a.dest for sub in _SUBCOMMANDS.values() for a in sub._actions
+                   if isinstance(a, argparse._StoreTrueAction)}
 
 
 def config_to_argv(config) -> list[str]:
@@ -384,7 +379,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_CONFIG
         _fft_workers()   # a malformed SELFFIELD_THREADS fails every subcommand
-        return args.fn(args)
+        with warnings.catch_warnings():   # a warning is one selffield: line
+            warnings.showwarning = lambda message, *_: sys.stderr.write(
+                f"selffield: warning: {message}\n")
+            return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write(f"selffield: config error: {exc}\n")
         return EXIT_CONFIG

@@ -32,6 +32,7 @@ torus.  In n^3-equivalents (a 1-D pass is 1/3, a half-size real transform
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -164,7 +165,6 @@ class _Workspace:
         self.kin_omega = CONST.hbar * self.k2 / (2.0 * mass)  # rad/s per mode
         self.charge = spec.particle.charge
         self.workers = _fft_workers()
-        self._kin_phase_cache: dict[float, np.ndarray] = {}
 
     @property
     def k(self) -> np.ndarray:
@@ -181,13 +181,10 @@ class _Workspace:
         """Position grid (3, n, n, n)."""
         return np.array(np.broadcast_arrays(*_axis_arrays(self.x1)))
 
-    def kinetic_phase(self, dt: float) -> np.ndarray:
-        """exp(-i hbar k^2 dt / 2M), cached per dt."""
-        phase = self._kin_phase_cache.get(dt)
-        if phase is None:
-            phase = np.exp(-1j * self.kin_omega * dt)
-            self._kin_phase_cache[dt] = phase
-        return phase
+    @functools.cached_property
+    def half_kin(self) -> np.ndarray:
+        """exp(-i hbar k^2 dt / 4M), the half-step kinetic factor."""
+        return np.exp(-1j * self.kin_omega * (0.5 * self.spec.dt))
 
     # fft helpers -------------------------------------------------------
     def fftn(self, a, overwrite=False):
@@ -438,7 +435,7 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     _check_timestep(spec)
     if ws is None:
         ws = _Workspace(spec)
-    half_kin = ws.kinetic_phase(0.5 * spec.dt)
+    half_kin = ws.half_kin
     psi_hat = None
     if fsal is not None:
         psi_hat, fsal.psi_hat = fsal.psi_hat, None
@@ -591,7 +588,6 @@ class Trajectory:
 
     records: list[DiagnosticsRecord]
     final_state: GridState
-    spec: GridSpec
 
     def to_csv_rows(self):
         yield "step,t_s,norm,energy_J,px,py,pz,flux_residual_W"
@@ -644,7 +640,7 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
                                       prev_power=prev_power, step_index=k))
             records.append(rec)
             prev_power = (rec.t, rec.field_energy, rec.current_dot_e)
-    return Trajectory(records=records, final_state=current, spec=spec)
+    return Trajectory(records=records, final_state=current)
 
 
 # ---------------------------------------------------------------------------

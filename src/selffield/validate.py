@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .scales import (CONST, CONSTANTS_VERSION, ELECTRON, EV, PROTON,
-                     PhysicalConstants, derived_scales)
+                     PhysicalConstants)
 from .wavepacket import (GaussianPacket, density_fourier,
                          fourier_density_numeric, gaussian_profile,
                          internal_kinetic_energy,
@@ -36,7 +37,9 @@ from .energy_budget import (BudgetMode, assemble_budget,
 from .localization import (RADIUS_PREFACTOR, BINDING_PREFACTOR,
                            closed_form_binding, closed_form_radius,
                            debroglie_ratio, minimize_radius)
-from .atom import (atom_electrostatic_energy,
+from .dynamics import (GridSpec, evolve, init_grid, load_snapshot, save_snapshot,
+                       transversality_residual)
+from .atom import (BOHR_RADIUS, atom_electrostatic_energy,
                    atom_electrostatic_energy_quadrature, bare_nucleus_energy,
                    hydrogen_atom, screened_bracket)
 
@@ -65,10 +68,6 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
                        residual=float(residual), tolerance=float(tolerance))
 
 
-def _bohr() -> float:
-    return derived_scales(ELECTRON, 0.0).bohr_like_length
-
-
 def check_projector_idempotence(rng) -> CheckResult:
     worst = 0.0
     for _ in range(200):
@@ -82,10 +81,9 @@ def check_projector_idempotence(rng) -> CheckResult:
 
 
 def check_field_transversality(rng) -> CheckResult:
-    a_b = _bohr()
     worst = 0.0
     for _ in range(1000):
-        b = a_b * 10.0 ** rng.uniform(-1, 1)
+        b = BOHR_RADIUS * 10.0 ** rng.uniform(-1, 1)
         beta = rng.uniform(0.01, 0.3)
         direction = rng.standard_normal(3)
         pkt = GaussianPacket(b=b, particle=ELECTRON, beta=beta, direction=direction)
@@ -97,9 +95,8 @@ def check_field_transversality(rng) -> CheckResult:
 
 
 def check_form_factor_oracle() -> CheckResult:
-    a_b = _bohr()
     worst = 0.0
-    for b in (0.5 * a_b, a_b, 3.0 * a_b):
+    for b in (0.5 * BOHR_RADIUS, BOHR_RADIUS, 3.0 * BOHR_RADIUS):
         prof = gaussian_profile(b)
         pkt = GaussianPacket(b=b, particle=ELECTRON)
         for qb in (0.0, 0.3, 1.0, 2.5, 5.0):
@@ -139,10 +136,9 @@ def check_kinetic_dual_path() -> CheckResult:
 
 
 def _coefficient_grid():
-    a_b = _bohr()
     for b_factor in (0.1, 1.0, 10.0):
         for beta in (0.01, 0.1, 0.2):
-            yield GaussianPacket(b=b_factor * a_b, particle=ELECTRON, beta=beta)
+            yield GaussianPacket(b=b_factor * BOHR_RADIUS, particle=ELECTRON, beta=beta)
 
 
 def check_coefficient_mean_potential() -> CheckResult:
@@ -177,17 +173,14 @@ def check_coefficient_momentum() -> CheckResult:
 
 def check_localization_closed_form() -> CheckResult:
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for particle in (ELECTRON, PROTON):
-            for beta in (0.05, 0.1, 0.3):
-                res = minimize_radius(particle, beta)
-                worst = max(
-                    worst,
-                    abs(res.b_star - closed_form_radius(particle, beta))
-                    / res.b_star,
-                    abs(res.binding_energy - closed_form_binding(particle, beta))
-                    / res.binding_energy)
+    for particle in (ELECTRON, PROTON):
+        for beta in (0.05, 0.1, 0.3):
+            res = minimize_radius(particle, beta)
+            worst = max(
+                worst,
+                abs(res.b_star - closed_form_radius(particle, beta)) / res.b_star,
+                abs(res.binding_energy - closed_form_binding(particle, beta))
+                / res.binding_energy)
     return _check("localization-closed-form", worst, 1e-6)
 
 
@@ -208,18 +201,16 @@ def check_localization_reference(constants: PhysicalConstants) -> CheckResult:
 
 def check_virial_identity() -> CheckResult:
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for particle in (ELECTRON, PROTON):
-            for beta in (0.05, 0.1, 0.2):
-                res = minimize_radius(particle, beta)
-                pkt = GaussianPacket(b=res.b_star, particle=particle, beta=beta)
-                kin = internal_kinetic_energy(pkt)
-                attr = current_potential_energy(pkt)
-                worst = max(worst,
-                            abs(kin - res.binding_energy) / res.binding_energy,
-                            abs(abs(attr) - 2.0 * res.binding_energy)
-                            / (2.0 * res.binding_energy))
+    for particle in (ELECTRON, PROTON):
+        for beta in (0.05, 0.1, 0.2):
+            res = minimize_radius(particle, beta)
+            pkt = GaussianPacket(b=res.b_star, particle=particle, beta=beta)
+            kin = internal_kinetic_energy(pkt)
+            attr = current_potential_energy(pkt)
+            worst = max(worst,
+                        abs(kin - res.binding_energy) / res.binding_energy,
+                        abs(abs(attr) - 2.0 * res.binding_energy)
+                        / (2.0 * res.binding_energy))
     return _check("virial-identity", worst, 1e-9)
 
 
@@ -274,9 +265,6 @@ def check_budget_additivity() -> CheckResult:
 
 
 def check_dynamics_smoke() -> CheckResult:
-    from .dynamics import (GridSpec, evolve, init_grid,
-                           transversality_residual)
-
     b = 3e-11
     spec = GridSpec(n=32, box=8 * b, dt=2e-19, particle=ELECTRON, coupling=True)
     pkt = GaussianPacket(b=b, particle=ELECTRON, beta=0.1)
@@ -289,10 +277,6 @@ def check_dynamics_smoke() -> CheckResult:
 
 
 def check_snapshot_roundtrip(tmpdir=None) -> CheckResult:
-    import os
-    import tempfile
-    from .dynamics import GridSpec, init_grid, load_snapshot, save_snapshot
-
     b = 3e-11
     spec = GridSpec(n=32, box=8 * b, dt=2e-19, particle=ELECTRON, coupling=True)
     pkt = GaussianPacket(b=b, particle=ELECTRON, beta=0.1)

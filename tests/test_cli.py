@@ -448,6 +448,20 @@ def test_evolve_stops_at_first_non_finite_record(capsys, monkeypatch):
     assert "at step 0" in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--particle", "electron", "--beta", "0.5"],
+    ["atom", "--atom", "H", "--beta", "0.5"],
+], ids=["minimize", "atom"])
+def test_soft_limit_notice_is_one_line(capsys, argv):
+    # beta past the soft limit still succeeds; the notice is one selffield:
+    # line on stderr, with no Python warning text or source line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["beta"] == 0.5
+    assert err == ("selffield: warning: beta = 0.5 > 0.3: beta^4 terms are no "
+                   "longer small; results are indicative only\n")
+
 def test_sweep_tiny_beta_is_a_row_status(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--particle", "electron",
                            "--beta", "1e-170,0.1")
@@ -521,3 +535,29 @@ def test_malformed_snapshot_is_config_error(capsys, tmp_path, fault):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("selffield: config error: snapshot_in: ")
+
+
+SNAPSHOT_FIXED = {"particle": "electron", "z": "-1", "mass_kg": "9.1e-31", "beta": "0",
+                  "b": "3e-11", "n": "32", "box": "2.4e-10", "dt": "2e-19",
+                  "coupling_off": True, "include_diagonal_na": True}
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_FIXED))
+def test_snapshot_fixed_flags_are_refused(capsys, tmp_path, key, via):
+    # the snapshot fixes the particle, packet, grid and coupling: giving any
+    # of them with --snapshot-in is refused, not silently ignored
+    path, _, _ = _write_snapshot(tmp_path)
+    flag, value = "--" + key.replace("_", "-"), SNAPSHOT_FIXED[key]
+    if via == "argv":
+        code, out, err = run_cli(capsys, "evolve", "--snapshot-in", str(path), "--steps", "1",
+                                 *([flag] if value is True else [flag, value]))
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "evolve", "snapshot_in": str(path),
+                                      "steps": 1, key: value}))
+        code, out, err = run_cli(capsys, "--config", str(config))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (f"selffield: config error: {flag}: fixed by the snapshot "
+                   "given with --snapshot-in\n")

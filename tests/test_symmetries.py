@@ -8,7 +8,10 @@ the second run to a few 1e-15 relative:
   momentum permute with them);
 - a lattice translation by np.roll (every record field is unchanged);
 - charge conjugation z = -1 -> +1 at the same mass (psi is unchanged and
-  A -> -A: the coupling goes as q^2, the current and the field as q).
+  A -> -A: the coupling goes as q^2, the current and the field as q);
+- a mirror reflection i -> (-i) mod n along one axis (that component of A
+  and of the momentum changes sign; on the torus the point i = 0 and the
+  Nyquist plane i = n/2 are fixed).
 The initial psi is a drifting packet plus a seeded perturbation of relative
 size 1e-6 that fills every mode up to the Nyquist planes, so that a fault
 confined to a few modes still shows.
@@ -135,3 +138,24 @@ def test_charge_conjugation(diagonal_na, seed, direction):
     image = GridState(psi=state.psi, a_field=-state.a_field, t=0.0)
     _assert_image(evolve(state, spec, STEPS), evolve(image, conjugate, STEPS),
                   lambda psi: psi, lambda a: -a)
+
+
+@pytest.mark.parametrize("diagonal_na", [False, True])
+@SETTINGS
+@given(seed=SEEDS, direction=DIRECTIONS, axis=st.integers(0, 2))
+def test_mirror_reflection(diagonal_na, seed, direction, axis):
+    spec = _spec(diagonal_na)
+    state = _initial(spec, seed, direction)
+    mirror = -np.arange(N) % N
+    sign = np.ones((3, 1, 1, 1))
+    sign[axis] = -1.0
+
+    def psi_map(psi):
+        return np.take(psi, mirror, axis=axis)
+
+    def a_map(a):
+        return sign * np.take(a, mirror, axis=axis + 1)
+
+    image = GridState(psi=psi_map(state.psi), a_field=a_map(state.a_field), t=0.0)
+    _assert_image(evolve(state, spec, STEPS), evolve(image, spec, STEPS),
+                  psi_map, a_map, lambda p: sign[:, 0, 0, 0] * p)

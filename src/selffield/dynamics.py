@@ -13,6 +13,16 @@ in the step and in the diagnostics records alike.  Every first derivative
 is _Workspace.deriv: a 1-D transform along its axis, i k_grad, and the 1-D
 inverse, two thirds of a 3-D transform pair.
 
+The per-axis derivative chains are independent, so they run as tasks of one
+module-level thread pool (_Workspace.map, sized like the 3-D transforms by
+_fft_workers); numpy and pocketfft release the GIL.  grad, the mixed term,
+the A-dependent part of H psi and dj/dt each run one task per axis, with
+single-threaded 1-D transforms inside.  A task never allocates an array: it
+writes only into buffers the calling thread allocated (one pair buffer per
+axis in the mixed term).  The calling thread sums the task results in axis
+order 0, 1, 2 as they land, so psi, A and every record are bit-identical at
+any thread count.
+
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
 exact for a Strang split and saves one inverse and one forward transform of
@@ -31,12 +41,15 @@ torus.  In n^3-equivalents (a 1-D pass is 1/3, a half-size real transform
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import json
 import math
 import os
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +67,8 @@ SNAPSHOT_VERSION = 1
 MIXED_GENERATOR_LIMIT = 1e-2
 
 # Peak memory per grid point of init_grid plus a record-every-step evolve:
-# 458 B measured above the import baseline at n = 128 (28.6 complex n^3
-# arrays), rounded up to 32 arrays as headroom for FFT scratch.
+# 362 B measured above the import baseline at n = 128 (22.6 complex n^3
+# arrays; 385 B at n = 64), kept at 32 arrays as headroom for FFT scratch.
 GRID_BYTES_PER_POINT = 32 * 16
 
 
@@ -68,8 +81,8 @@ def _physical_memory() -> int:
 
 
 def _fft_workers() -> int:
-    """Thread count for FFTs: SELFFIELD_THREADS, else the core count capped
-    at 8."""
+    """Thread count for the 3-D FFTs and the size of the task pool:
+    SELFFIELD_THREADS, else the core count capped at 8."""
     env = os.environ.get("SELFFIELD_THREADS", "").strip()
     if env:
         try:
@@ -122,6 +135,20 @@ def _axis_arrays(values):
     n = values.size
     return (values.reshape(n, 1, 1), values.reshape(1, n, 1),
             values.reshape(1, 1, n))
+
+
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _task_pool(size: int) -> ThreadPoolExecutor:
+    """The module's thread pool of size workers, created on first use (one
+    per distinct _fft_workers value, so in practice one)."""
+    with _POOLS_LOCK:
+        if size not in _POOLS:
+            _POOLS[size] = ThreadPoolExecutor(max_workers=size,
+                                              thread_name_prefix="selffield")
+        return _POOLS[size]
 
 
 class _Workspace:
@@ -216,31 +243,53 @@ class _Workspace:
         """sum over grid times the volume element."""
         return float(np.sum(values)) * self.dv
 
+    def map(self, fn, items):
+        """fn over items as tasks of the module's thread pool, results in
+        item order as they land; inline with one worker.  A task writes only
+        into arrays its caller allocated, and runs in a copy of the caller's
+        context, so the caller's np.errstate holds in it too."""
+        if self.workers == 1:
+            return map(fn, items)
+        pool = _task_pool(self.workers)
+        futures = [pool.submit(contextvars.copy_context().run, fn, item)
+                   for item in items]
+        return (future.result() for future in futures)
+
     # physics building blocks ------------------------------------------
     def deriv(self, f, axis):
-        """Spectral d/dx_axis of a complex field or a stack of them, in f's
-        memory: a 1-D transform along axis, i k_grad, the 1-D inverse."""
-        f_hat = sfft.fft(f, axis=axis - 3, workers=self.workers, overwrite_x=True)
+        """Spectral d/dx_axis of a complex field or a stack of them, in place
+        in f: a 1-D transform along axis, i k_grad, the 1-D inverse.
+        Single-threaded: it runs inside pool tasks, one per axis."""
+        f_hat = sfft.fft(f, axis=axis - 3, workers=1, overwrite_x=True)
         f_hat *= self.ik_grad_axes[axis]
-        return sfft.ifft(f_hat, axis=axis - 3, workers=self.workers, overwrite_x=True)
+        return sfft.ifft(f_hat, axis=axis - 3, workers=1, overwrite_x=True)
 
     def grad(self, f):
         """Spectral gradient of a complex field, a (3, n, n, n) stack."""
         out = np.empty((3,) + f.shape, dtype=complex)
-        for axis in range(3):
+
+        def axis_task(axis):
             out[axis] = f
-            out[axis] = self.deriv(out[axis], axis)
+            self.deriv(out[axis], axis)
+
+        list(self.map(axis_task, range(3)))
         return out
 
     def current(self, psi, grad, a_field=None):
         """Probability current of the charge: (q hbar / M) Im(psi* grad psi),
         with the diamagnetic -(q^2/M) |psi|^2 A piece when the spec includes
-        it and a_field is given."""
+        it and a_field is given; one component at a time."""
         mass = self.spec.particle.mass
-        j = (self.charge * CONST.hbar / mass) * np.imag(
-            np.conj(psi)[None, ...] * grad)
+        conj_psi = np.conj(psi)
+        j = np.empty(grad.shape, dtype=float)
+        for i, g in enumerate(grad):
+            j[i] = np.imag(conj_psi * g)
+        del conj_psi
+        j *= self.charge * CONST.hbar / mass
         if self.spec.include_diagonal_na and a_field is not None:
-            j -= (self.charge**2 / mass) * (np.abs(psi) ** 2)[None, ...] * a_field
+            density = (self.charge**2 / mass) * np.abs(psi) ** 2
+            for j_i, a_i in zip(j, a_field):
+                j_i -= density * a_i
         return j
 
     def _wavenumbers(self, vec_hat):
@@ -350,6 +399,11 @@ def _check_timestep(spec: GridSpec):
             f"exceeds {0.8 * math.pi:.3f}")
 
 
+def _dot(u, v):
+    """sum_i u_i v_i of two 3-component stacks, summed in axis order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     """Propagate for time tau under the mixed term -(q/2M)(A.p + p.A).
 
@@ -359,16 +413,20 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     step this keeps norm drift far below 1e-12.
     """
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
-    pair = np.empty((2,) + psi.shape, dtype=complex)
+    pairs = np.empty((3, 2) + psi.shape, dtype=complex)
 
     def apply_y(phi):
-        # per axis, [phi, A_i phi] -> [d_i phi, d_i(A_i phi)] in one pass
-        acc = np.zeros_like(phi)
-        for axis, a_i in enumerate(a_field):
+        # per axis, a task: [phi, A_i phi] -> [A_i d_i phi, d_i(A_i phi)]
+        def axis_task(axis):
+            pair, a_i = pairs[axis], a_field[axis]
             pair[0] = phi
             np.multiply(a_i, phi, out=pair[1])
-            d = ws.deriv(pair, axis)
-            d[0] *= a_i
+            ws.deriv(pair, axis)
+            pair[0] *= a_i
+            return pair
+
+        acc = np.zeros_like(phi)
+        for d in ws.map(axis_task, range(3)):
             acc += d[0]
             acc += d[1]
         acc *= coeff
@@ -382,16 +440,17 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     return y1
 
 
-def _potential_factor(ws: _Workspace, psi, a_field, tau):
+def _potential_factor(ws: _Workspace, psi, a_field, tau, a2=None):
     """Evolve for time tau under the A-dependent factor: A^2 phase, then the
-    mixed term.
+    mixed term.  a2 is sum_i A_i^2 when the caller already holds it.
 
     Raises TimestepTooLargeError when the bound
     ||Y|| <= 2 |tau q / 2M| max|A| |k_grad|_max on the mixed generator
     exceeds MIXED_GENERATOR_LIMIT (or is not finite), where the polynomial
     applied by _apply_mixed is no longer unitary to roundoff.
     """
-    a2 = np.sum(a_field**2, axis=0)
+    if a2 is None:
+        a2 = _dot(a_field, a_field)
     y_bound = abs(tau * ws.charge / ws.spec.particle.mass) * math.sqrt(
         float(a2.max())) * ws.k_grad_max
     if not y_bound <= MIXED_GENERATOR_LIMIT:
@@ -446,9 +505,10 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     psi_hat *= half_kin
     if spec.coupling:
         psi_mid, a_mid = ws.solve_a(psi_hat, a_prev=state.a_field)
+        a2 = _dot(a_mid, a_mid)
         if a2_history is not None:
-            a2_history.append(ws.integral(np.sum(a_mid**2, axis=0)))
-        psi = _potential_factor(ws, psi_mid, a_mid, spec.dt)
+            a2_history.append(ws.integral(a2))
+        psi = _potential_factor(ws, psi_mid, a_mid, spec.dt, a2=a2)
         psi_hat = ws.fftn(psi, overwrite=True)
     else:
         a_mid = state.a_field
@@ -507,6 +567,7 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     kinetic = dv_k * float(np.sum(ws.kin_omega * weight)) * CONST.hbar
     p_matter = CONST.hbar * dv_k * np.array(
         [float(np.sum(kg * weight)) for kg in ws.k_grad_axes])
+    del weight
 
     if not spec.coupling:
         return DiagnosticsRecord(
@@ -522,15 +583,33 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         if spec.include_diagonal_na else j_can
     a_hat = ws.vector_potential_hat(ws.rfftn(j_src))
     a_field = ws.irfftn(a_hat.copy())
-    interaction = -0.5 * ws.integral(np.sum(j_can * a_field, axis=0))
+    interaction = -0.5 * ws.integral(_dot(j_can, a_field))
+    j_dot_a = ws.integral(_dot(j_src, a_field))
+    del j_src
 
-    # E_perp from the instantaneous current derivative (no history needed)
+    # E_perp from the instantaneous current derivative (no history needed):
+    # dj_i/dt = (q/M) Re(conj(H psi) d_i psi - conj(psi) d_i(H psi)), one
+    # task per component, in the memory of d_i psi
     h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field, grad)
-    grad_h = ws.grad(h_psi)
-    dj_dt = (ws.charge / spec.particle.mass) * (
-        np.real(np.conj(h_psi)[None, ...] * grad)
-        - np.real(np.conj(psi)[None, ...] * grad_h))
-    e_hat = -ws.vector_potential_hat(ws.rfftn(dj_dt))
+    del psi_hat, a_field
+    conj_h, conj_psi = np.conj(h_psi), np.conj(psi)
+    dj_dt = np.empty(grad.shape, dtype=float)
+
+    def axis_task(axis):
+        g = grad[axis]
+        np.multiply(conj_h, g, out=g)
+        dj_dt[axis] = np.real(g)
+        g[...] = h_psi
+        ws.deriv(g, axis)
+        np.multiply(conj_psi, g, out=g)
+        dj_dt[axis] -= np.real(g)
+
+    list(ws.map(axis_task, range(3)))
+    del grad, h_psi, conj_h, conj_psi
+    dj_dt *= ws.charge / spec.particle.mass
+    e_hat = ws.vector_potential_hat(ws.rfftn(dj_dt))
+    del dj_dt
+    np.negative(e_hat, out=e_hat)
     efield_energy = CONST.eps0 * dv_k * ws.half_sum(np.abs(e_hat) ** 2)
 
     # d^2/dt^2 int A^2 from the last three per-step midpoint values
@@ -542,18 +621,21 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     energy = kinetic + interaction + efield_energy + a2_term
 
     # momentum: field part eps0 sum_j int E_j grad A_j, i.e. the k-weighted
-    # sums of Re(conj(e_hat) . i a_hat) = Im(e_hat . conj(a_hat))
-    e_dot_a = np.imag(np.sum(e_hat * np.conj(a_hat), axis=0))
+    # sums of Re(conj(e_hat) . i a_hat) = Im(conj(a_hat) . e_hat), formed in
+    # a_hat's memory (numpy's complex product is not bitwise commutative)
+    np.conj(a_hat, out=a_hat)
+    a_hat *= e_hat
+    e_dot_a = np.imag(a_hat[0] + a_hat[1] + a_hat[2])
     kgx, kgy, kgz = ws.k_grad_axes
     p_field = CONST.eps0 * dv_k * np.array(
         [ws.half_sum(kg * e_dot_a)
          for kg in (kgx, kgy, kgz[..., :e_dot_a.shape[-1]])])
+    del a_hat, e_dot_a
 
     # power balance: d(field energy)/dt + int j.E should vanish.  Slaved A has
     # k^2 |a_hat|^2 = Re(conj(a_hat).j_hat)/(eps0 c^2): eps0 c^2 int B^2 = int j.A
-    field_energy = 0.5 * (efield_energy + ws.integral(np.sum(j_src * a_field, axis=0)))
-    e_field = ws.irfftn(e_hat)
-    current_dot_e = ws.integral(np.sum(j_can * e_field, axis=0))
+    field_energy = 0.5 * (efield_energy + j_dot_a)
+    current_dot_e = ws.integral(_dot(j_can, ws.irfftn(e_hat)))
     flux_residual = 0.0
     if prev_power is not None:
         t_prev, u_prev, jde_prev = prev_power
@@ -572,13 +654,23 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
     grad psi in real space and psi_hat the spectrum of psi."""
-    mixed = np.sum(a_field * grad, axis=0)
-    for axis, a_i in enumerate(a_field):
-        mixed += ws.deriv(a_i * psi, axis)
+    div_a_psi = np.empty(grad.shape, dtype=complex)
+
+    def axis_task(axis):
+        np.multiply(a_field[axis], psi, out=div_a_psi[axis])
+        return ws.deriv(div_a_psi[axis], axis)
+
+    derivs = ws.map(axis_task, range(3))
+    mixed = _dot(a_field, grad)
+    for d in derivs:
+        mixed += d
+    del div_a_psi, derivs
     h_psi = ws.ifftn(ws.kin_omega * CONST.hbar * psi_hat, overwrite=True)
     h_psi += (1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass)) * mixed
-    h_psi += (ws.charge**2 / (2.0 * ws.spec.particle.mass)) * np.sum(
-        a_field**2, axis=0) * psi
+    del mixed
+    diamagnetic = _dot(a_field, a_field)
+    diamagnetic *= ws.charge**2 / (2.0 * ws.spec.particle.mass)
+    h_psi += diamagnetic * psi
     return h_psi
 
 

@@ -284,10 +284,10 @@ def check_snapshot_roundtrip(tmpdir=None) -> CheckResult:
     with tempfile.TemporaryDirectory(dir=tmpdir) as d:
         path = os.path.join(d, "snap.bin")
         save_snapshot(state, spec, path)
-        loaded, spec2 = load_snapshot(path)
+        loaded, spec2 = load_snapshot(path, label=spec.particle.label)
     same = (np.array_equal(loaded.psi, state.psi)
             and np.array_equal(loaded.a_field, state.a_field)
-            and loaded.t == state.t and spec2.n == spec.n)
+            and loaded.t == state.t and spec2 == spec)
     return _check("snapshot-roundtrip-bitwise", 0.0 if same else 1.0, 0.0)
 
 

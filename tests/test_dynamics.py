@@ -1,8 +1,12 @@
 """Tests for the spectral-grid co-evolution: initialization, field solve,
 stepping, diagnostics, trajectories, and snapshot serialization."""
 
+import dataclasses
 import json
 import math
+import sys
+import threading
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -604,11 +608,14 @@ class _CountingFft:
 
 def _check_transform_counts(monkeypatch, coupling, step_max):
     # n^3-equivalents per call: a fused interior coupled step makes 15, an
-    # uncoupled one none, and a record at most 14
+    # uncoupled one none, and a record at most 14.  Transforms also run on
+    # pool threads, so the tally takes a lock.
     calls = []
+    lock = threading.Lock()
 
     def add(weight):
-        calls[-1][1] += weight
+        with lock:
+            calls[-1][1] += weight
 
     def phase(name):
         original = getattr(dynamics, name)
@@ -640,6 +647,65 @@ def test_transform_counts_per_step_and_record(monkeypatch):
 
 def test_transform_counts_per_step_and_record_uncoupled(monkeypatch):
     _check_transform_counts(monkeypatch, coupling=False, step_max=0)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_trajectory_bit_identical_at_any_thread_count(monkeypatch, diagonal):
+    # pool tasks write into their own buffers and the main thread sums them in
+    # axis order, so the thread count changes no bit; stride 3 runs the FSAL
+    # chain between records.  Three workers run all three axis tasks at once,
+    # under frequent thread switches.
+    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SELFFIELD_THREADS", threads)
+            runs.append(evolve(init_grid(spec, packet()), spec, 7, record_stride=3))
+    finally:
+        sys.setswitchinterval(interval)
+    one = runs[0]
+    assert len(one.records) == 4
+    for other in runs[1:]:
+        assert np.array_equal(one.final_state.psi, other.final_state.psi)
+        assert np.array_equal(one.final_state.a_field, other.final_state.a_field)
+        assert len(other.records) == 4
+        for a, b in zip(one.records, other.records):
+            for field in dataclasses.fields(a):
+                got, want = getattr(a, field.name), getattr(b, field.name)
+                assert np.array_equal(got, want), field.name
+
+
+def _peak_arrays(fn):
+    """Peak of the numpy memory fn allocates above what is live when it is
+    called, in complex n^3 arrays of the n = 32 grid."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - live) / (16 * 32**3)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_record_and_step_memory_bounds(diagonal):
+    # a coupled record releases its intermediates once consumed and builds
+    # the current and dj/dt one component at a time; the step's three mixed
+    # term pair buffers keep a fused interior step within 13 arrays
+    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
+    state = init_grid(spec, packet())
+    ws = _Workspace(spec)
+    history = deque(maxlen=3)
+    diagnostics(state, spec, ws=ws, a2_history=history)
+    assert _peak_arrays(lambda: diagnostics(state, spec, ws=ws,
+                                            a2_history=history)) <= 16.0
+    fsal = dynamics._Fsal(close=False)
+    current = step(state, spec, ws=ws, a2_history=history, fsal=fsal)
+    assert _peak_arrays(lambda: step(current, spec, ws=ws, a2_history=history,
+                                     fsal=fsal)) <= 13.0
 
 
 # --- snapshots -----------------------------------------------------------------------

@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from selffield import validate
 from selffield.scales import CONST, PhysicalConstants
-from selffield.validate import (parse_report, report_to_json, run_validation)
+from selffield.validate import (check_snapshot_roundtrip, parse_report,
+                                report_to_json, run_validation)
 
 
 def test_fresh_build_all_pass_and_fast():
@@ -43,3 +45,18 @@ def test_parser_rejects_malformed():
     with pytest.raises(ValueError):
         parse_report('{"tool_version": "x", "constants_version": "y", '
                      '"entries": [{"name": "a"}], "all_passed": true}')
+
+
+@pytest.mark.parametrize("field", ["box", "dt"])
+def test_snapshot_roundtrip_check_compares_whole_spec(monkeypatch, tmp_path, field):
+    # a loader that restores psi, A and t but loses part of the GridSpec
+    # must fail the round-trip check
+    load = validate.load_snapshot
+
+    def lossy_load(path, label=""):
+        state, spec = load(path, label=label)
+        return state, dataclasses.replace(spec, **{field: 2.0 * getattr(spec, field)})
+
+    assert check_snapshot_roundtrip(tmpdir=tmp_path).passed
+    monkeypatch.setattr(validate, "load_snapshot", lossy_load)
+    assert not check_snapshot_roundtrip(tmpdir=tmp_path).passed

@@ -6,10 +6,12 @@ configuration/schema error or an input that fails its range check
 (negative, NaN or infinite width, beta outside [0, 1), unknown mode,
 malformed snapshot, a config value of the wrong JSON type, a grid too large
 for physical memory, a particle, packet, grid or coupling flag given with
---snapshot-in, which fixes them, ...), 3 numeric failure (no minimum, no
-localization, grid mismatch, a result that overflows or is not finite, ...),
-4 I/O error.  A --config file takes exactly the subcommand's flags as keys
-(the schema is read off the argument parser).  Outputs are deterministic:
+--snapshot-in, which fixes them, a field given with the --particle or --atom
+preset that fixes it, ...), 3 numeric failure (no minimum, no localization,
+grid mismatch, a result that overflows or is not finite, ...), 4 I/O error.
+A --config file (--config path or --config=path) replaces all other
+arguments and takes exactly the subcommand's flags as keys (the schema is
+read off the argument parser).  Outputs are deterministic:
 identical configs produce byte-identical CSV/JSON, all numerics are written
 with 12 significant digits, and each output file gets a .meta.json sidecar
 recording the constants version, mode, and tool version.  A warning (beta
@@ -93,8 +95,16 @@ def parse_beta_grid(text: str) -> list[float]:
     return grid
 
 
+def _refuse(args, names, reason):
+    """Raise ConfigError(reason) naming the first of names that is given or set."""
+    for name in names:
+        if getattr(args, name) is not None and getattr(args, name) is not False:
+            raise ConfigError("--" + name.replace("_", "-"), reason)
+
+
 def _parse_particle(args) -> ParticleSpec:
     if args.particle is not None:
+        _refuse(args, ("z", "mass_kg"), "fixed by the preset given with --particle")
         return PARTICLE_PRESETS[args.particle]
     if args.z is None or args.mass_kg is None:
         raise ConfigError("particle", "need --particle or both --z and --mass-kg")
@@ -103,11 +113,9 @@ def _parse_particle(args) -> ParticleSpec:
 
 def _parse_atom(args) -> NeutralAtom:
     if args.atom is not None:
-        factory = ATOM_PRESETS.get(args.atom)
-        if factory is None:
-            raise ConfigError("atom", f"unknown preset {args.atom!r} "
-                              f"(available: {', '.join(sorted(ATOM_PRESETS))})")
-        return factory()
+        _refuse(args, ("z_nucleus", "mass_total_kg", "gamma_m"),
+                "fixed by the preset given with --atom")
+        return ATOM_PRESETS[args.atom]()
     if args.z_nucleus is None or args.mass_total_kg is None or args.gamma_m is None:
         raise ConfigError("atom", "need --atom or all of --z-nucleus, "
                           "--mass-total-kg, --gamma-m")
@@ -193,10 +201,7 @@ def cmd_evolve(args) -> int:
     # the overflow behind it stay off stderr
     with np.errstate(all="ignore"):
         if args.snapshot_in is not None:
-            for name in SNAPSHOT_FIELDS:
-                if getattr(args, name) is not None and getattr(args, name) is not False:
-                    raise ConfigError("--" + name.replace("_", "-"),
-                                      "fixed by the snapshot given with --snapshot-in")
+            _refuse(args, SNAPSHOT_FIELDS, "fixed by the snapshot given with --snapshot-in")
             state, spec = load_snapshot(args.snapshot_in)
         else:
             for name in ("b", "box", "dt"):
@@ -274,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_atom = subs.add_parser("atom", help="neutral-atom energy or localization")
-    p_atom.add_argument("--atom", help="preset name (H, He)")
+    p_atom.add_argument("--atom", choices=sorted(ATOM_PRESETS), help="atom preset")
     p_atom.add_argument("--z-nucleus", type=int)
     p_atom.add_argument("--mass-total-kg", type=float)
     p_atom.add_argument("--gamma-m", type=float, help="electron-cloud radius in m")
@@ -357,25 +362,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise ConfigError("config", "missing path after --config")
-            path = argv[idx + 1]
-            extra = argv[:idx] + argv[idx + 2:]
-            if extra:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            if args.command is not None:
                 raise ConfigError("config", "a config file replaces all other arguments")
             try:
-                with open(path) as fh:
+                with open(args.config) as fh:
                     config = json.load(fh)
             except OSError as exc:
                 sys.stderr.write(f"selffield: cannot read config: {exc}\n")
                 return EXIT_IO
             except json.JSONDecodeError as exc:
                 raise ConfigError("config", f"invalid JSON: {exc}") from exc
-            argv = config_to_argv(config)
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+            args = parser.parse_args(config_to_argv(config))
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_CONFIG
         _fft_workers()   # a malformed SELFFIELD_THREADS fails every subcommand

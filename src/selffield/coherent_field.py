@@ -18,7 +18,8 @@ from scipy.integrate import quad
 
 from .errors import SingularWavevectorError
 from .scales import CONST
-from .wavepacket import GaussianPacket, QUAD_ATOL, QUAD_RTOL, U_MAX
+from .wavepacket import (GaussianPacket, QUAD_ATOL, QUAD_RTOL, U_MAX,
+                         electrostatic_energy)
 
 # analytic angular averages over the unit sphere
 ANGULAR_TRANSVERSE = 2.0 / 3.0        # <1 - cos^2 theta>
@@ -115,8 +116,6 @@ def mean_potential_coefficient(p: GaussianPacket) -> float:
     Uses the quadrature <A> against the closed-form E_el, making the ratio
     an independent check of the 4/3 structure.
     """
-    from .energy_budget import electrostatic_energy
-
     if p.beta == 0.0:
         raise ValueError("coefficient undefined for a packet at rest")
     mean_a = mean_vector_potential(p)
@@ -133,8 +132,6 @@ def renormalized_momentum(p: GaussianPacket) -> np.ndarray:
     The packet drags its own field: the mean self-potential renormalizes the
     mass by the classical 4/3 factor.
     """
-    from .energy_budget import electrostatic_energy
-
     e_el = electrostatic_energy(p)
     factor = 1.0 + 4.0 / 3.0 * e_el / (p.particle.mass * CONST.c**2)
     return p.particle.mass * factor * p.speed * p.direction
@@ -163,8 +160,6 @@ def momentum_coefficient(p: GaussianPacket) -> float:
     Evaluated from the field part alone (which is parallel to p_c), so no
     cancellation spoils the extraction at small beta.
     """
-    from .energy_budget import electrostatic_energy
-
     if p.beta == 0.0:
         raise ValueError("coefficient undefined for a packet at rest")
     e_el = electrostatic_energy(p)
@@ -172,14 +167,3 @@ def momentum_coefficient(p: GaussianPacket) -> float:
     along = float(np.dot(field_momentum(p), p.direction))
     return along / (float(np.linalg.norm(p.momentum)) * scale)
 
-
-def retardation_ratio(p: GaussianPacket) -> float:
-    """Validity diagnostic for the quasi-static field: tau_max / t_conv.
-
-    tau_max = b/c is the light-crossing time of the packet and t_conv =
-    b/v_c the convective timescale, so the ratio is just beta; the
-    quasi-static approximation needs it small.
-    """
-    if p.beta == 0.0:
-        return 0.0
-    return (p.b / CONST.c) / (p.b / p.speed)

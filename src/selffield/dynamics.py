@@ -440,17 +440,15 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     return y1
 
 
-def _potential_factor(ws: _Workspace, psi, a_field, tau, a2=None):
+def _potential_factor(ws: _Workspace, psi, a_field, tau, a2):
     """Evolve for time tau under the A-dependent factor: A^2 phase, then the
-    mixed term.  a2 is sum_i A_i^2 when the caller already holds it.
+    mixed term.  a2 is sum_i A_i^2 of a_field.
 
     Raises TimestepTooLargeError when the bound
     ||Y|| <= 2 |tau q / 2M| max|A| |k_grad|_max on the mixed generator
     exceeds MIXED_GENERATOR_LIMIT (or is not finite), where the polynomial
     applied by _apply_mixed is no longer unitary to roundoff.
     """
-    if a2 is None:
-        a2 = _dot(a_field, a_field)
     y_bound = abs(tau * ws.charge / ws.spec.particle.mass) * math.sqrt(
         float(a2.max())) * ws.k_grad_max
     if not y_bound <= MIXED_GENERATOR_LIMIT:

@@ -8,7 +8,9 @@ electrostatic self-energy E_el = (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b):
     transverse field     +(4/15) beta^4 E_el
     convective           P^2 / 2M, constant in b
 
-Each Gaussian closed form has an adaptive-quadrature twin used as oracle.
+E_el itself is computed in the wavepacket module, beside the internal
+kinetic term, and re-exported here.  Each Gaussian closed form has an
+adaptive-quadrature twin used as oracle.
 Two assembly modes exist: PAPER_QUOTED keeps only the terms whose
 minimization yields the closed-form localization radius and binding energy;
 ASSEMBLED adds the beta^4 transverse-field term.
@@ -17,16 +19,11 @@ ASSEMBLED adds the beta^4 transverse-field term.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
-from .errors import DivergenceError
 from .scales import CONST, EV
-from .wavepacket import (GaussianPacket, QUAD_ATOL, QUAD_RTOL, RadialProfile,
-                         U_MAX, fourier_density_numeric,
+from .wavepacket import (GaussianPacket, electrostatic_energy,
                          internal_kinetic_energy)
 from .coherent_field import ANGULAR_CROSS, ANGULAR_TRANSVERSE, _radial_i2
 
@@ -69,35 +66,9 @@ class EnergyBudget:
             "mode": self.mode.value,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     CSV_FIELDS = ("convective_eV", "internal_kinetic_eV", "electrostatic_eV",
                   "current_potential_eV", "transverse_field_eV",
                   "a_squared_rate_eV", "total_eV", "mode")
-
-
-def electrostatic_energy(prof: GaussianPacket | RadialProfile, charge: float | None = None) -> float:
-    """Electrostatic self-energy (Z e)^2 / (4 pi^2 eps0) int rho_hat^2 dq (J).
-
-    Gaussian packets use the closed form (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b);
-    a RadialProfile is integrated numerically (charge defaults to e).
-    """
-    if isinstance(prof, GaussianPacket):
-        ze = prof.particle.charge
-        return ze**2 / (8.0 * math.sqrt(2.0) * math.pi**1.5 * CONST.eps0 * prof.b)
-    ze = CONST.e_charge if charge is None else charge
-    scale = prof.support_radius
-
-    def integrand(u):
-        return fourier_density_numeric(prof, u / scale) ** 2
-
-    val, err = quad(integrand, 0.0, U_MAX * 4.0,
-                    epsabs=QUAD_ATOL, epsrel=1e-9, limit=200)
-    if err > 1e-6 * abs(val):
-        raise DivergenceError(
-            f"electrostatic integral did not converge (estimate {val:.3e}, error {err:.3e})")
-    return ze**2 / (4.0 * math.pi**2 * CONST.eps0) * val / scale
 
 
 def electrostatic_energy_quadrature(p: GaussianPacket) -> float:
@@ -135,19 +106,6 @@ def transverse_field_energy_quadrature(p: GaussianPacket) -> float:
     pref = ANGULAR_CROSS / (2.0 * math.pi**2) * q_s**2 * p_c2 * v_c2 / (
         p.particle.mass**2 * CONST.c**4 * CONST.eps0)
     return pref * _radial_i2(p)
-
-
-def a_squared_rate_term(p: GaussianPacket, db_dt: float) -> float:
-    """Width-breathing diagnostic (8/3) sqrt(2/pi) (beta^2/c^2) E_el b db/dt.
-
-    Vanishes for a stationary width; excluded from assembled totals.  Kept
-    in the printed form of the source model, which is a rate-like
-    diagnostic rather than a strict energy.
-    """
-    if db_dt == 0.0 or p.beta == 0.0:
-        return 0.0
-    return (8.0 / 3.0) * math.sqrt(2.0 / math.pi) * (p.beta**2 / CONST.c**2) \
-        * electrostatic_energy(p) * p.b * db_dt
 
 
 def convective_energy(p: GaussianPacket) -> float:

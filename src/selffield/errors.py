@@ -23,10 +23,6 @@ class NormalizationError(SelfFieldError):
         )
 
 
-class DivergenceError(SelfFieldError):
-    """A spectral integral failed to converge (non square-integrable form factor)."""
-
-
 class NoMinimumError(SelfFieldError):
     """The localization functional has no interior minimum (e.g. beta = 0)."""
 

@@ -16,7 +16,6 @@ K and C for its bare nucleus.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -192,7 +191,3 @@ def sweep(p: ParticleSpec, beta_grid,
             except InvalidVelocityError:
                 rows.append(SweepRow(beta=beta, result=None, status="invalid-velocity"))
     return rows
-
-
-def sweep_to_json(rows: list[SweepRow]) -> str:
-    return json.dumps([r.to_dict() for r in rows], sort_keys=True)

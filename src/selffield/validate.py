@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .scales import (CONST, CONSTANTS_VERSION, ELECTRON, EV, PROTON,
-                     PhysicalConstants)
+                     ParticleSpec, PhysicalConstants, derived_scales)
 from .wavepacket import (GaussianPacket, density_fourier,
                          fourier_density_numeric, gaussian_profile,
                          internal_kinetic_energy,
@@ -187,13 +187,12 @@ def check_localization_closed_form() -> CheckResult:
 def check_localization_reference(constants: PhysicalConstants) -> CheckResult:
     """Recompute the beta = 0.1 closed forms from the supplied constants and
     compare with the frozen reference numbers (tamper detection)."""
-    hbar, c, eps0, e, m_e = (constants.hbar, constants.c, constants.eps0,
-                             constants.e_charge, constants.m_electron)
     beta = 0.1
-    bohr = 4.0 * math.pi * eps0 * hbar**2 / (m_e * e**2)
-    rydberg = m_e * e**4 / (2.0 * (4.0 * math.pi * eps0 * hbar) ** 2)
-    b_star = RADIUS_PREFACTOR * bohr / beta**2
-    binding_ev = BINDING_PREFACTOR * beta**4 * rydberg / constants.e_charge
+    scales = derived_scales(ParticleSpec(z=-1, mass=constants.m_electron),
+                            beta, constants)
+    b_star = RADIUS_PREFACTOR * scales.bohr_like_length / beta**2
+    binding_ev = (BINDING_PREFACTOR * beta**4 * scales.rydberg_like_energy
+                  / constants.e_charge)
     worst = max(abs(b_star - REF_ELECTRON_B_STAR_M) / REF_ELECTRON_B_STAR_M,
                 abs(binding_ev - REF_ELECTRON_BINDING_EV) / REF_ELECTRON_BINDING_EV)
     return _check("localization-reference-values", worst, 1e-9)

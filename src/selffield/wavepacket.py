@@ -3,9 +3,11 @@
 The model packet is a plane wave times an isotropic Gaussian envelope
 phi(r) = (4 pi b^2)^(-3/4) exp(-r^2 / 8 b^2), so the probability density is
 rho(r) = (4 pi b^2)^(-3/2) exp(-r^2 / 4 b^2) with form factor
-rho_hat(q) = exp(-b^2 q^2).  RadialProfile provides the brute-force
-quadrature path for the same quantities, used as the oracle against every
-Gaussian closed form.
+rho_hat(q) = exp(-b^2 q^2).  The packet's two field-free self-terms live
+here side by side: the internal kinetic energy 3 hbar^2 / (16 M b^2) and
+the electrostatic self-energy E_el, of which every self-field term of the
+energy budget is a multiple.  RadialProfile provides the brute-force
+quadrature path for the form factor, the oracle against the Gaussian one.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def internal_kinetic_energy(p: GaussianPacket) -> float:
     rather than b**2, so that a width too large to square gives 0, not
     OverflowError."""
     return 3.0 * CONST.hbar**2 / (16.0 * p.particle.mass * (p.b * p.b))
+
+
+def electrostatic_energy(p: GaussianPacket) -> float:
+    """Electrostatic self-energy E_el = (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b)
+    in joules; every self-field term of the energy budget is a multiple of it."""
+    ze = p.particle.charge
+    return ze**2 / (8.0 * math.sqrt(2.0) * math.pi**1.5 * CONST.eps0 * p.b)
 
 
 def internal_kinetic_energy_numeric(p: GaussianPacket) -> float:
@@ -173,41 +182,3 @@ def fourier_density_numeric(prof: RadialProfile, q: float) -> float:
                       epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
     return 4.0 * math.pi * val
 
-
-def load_radial_profile_csv(path) -> RadialProfile:
-    """Load a two-column CSV (r_m, rho_per_m3) into a RadialProfile.
-
-    Lines starting with '#' are comments; r must be strictly increasing.
-    The samples are interpolated with a cubic spline clamped to zero
-    beyond the last radius.
-    """
-    from scipy.interpolate import CubicSpline
-
-    r_vals, rho_vals = [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected two comma-separated columns")
-            r_vals.append(float(parts[0]))
-            rho_vals.append(float(parts[1]))
-    r = np.asarray(r_vals)
-    rho = np.asarray(rho_vals)
-    if len(r) < 4:
-        raise ValueError("profile needs at least 4 samples")
-    if np.any(np.diff(r) <= 0.0):
-        raise ValueError("profile radii must be strictly increasing")
-    if np.any(rho < 0.0):
-        raise ValueError("profile density must be non-negative")
-    spline = CubicSpline(r, rho)
-    r_max = float(r[-1])
-
-    def rho_fn(x):
-        if x < r[0] or x > r_max:
-            return float(rho[0]) if x < r[0] else 0.0
-        return max(float(spline(x)), 0.0)
-
-    return RadialProfile(rho=rho_fn, support_radius=r_max)

@@ -148,9 +148,27 @@ def test_atom_energy_evaluation(capsys):
 
 
 def test_atom_unknown_preset(capsys):
-    code, _, err = run_cli(capsys, "atom", "--atom", "Xe")
+    with pytest.raises(SystemExit) as exc:
+        main(["atom", "--atom", "Xe"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "Xe" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag,preset", [
+    (["energy", "--particle", "electron", "--z", "3", "--beta", "0.1", "--b", "1e-10"],
+     "--z", "--particle"),
+    (["energy", "--particle", "electron", "--mass-kg", "1e-25", "--beta", "0.1",
+      "--b", "1e-10"], "--mass-kg", "--particle"),
+    (["atom", "--atom", "H", "--z-nucleus", "3", "--beta", "0.1"], "--z-nucleus", "--atom"),
+    (["atom", "--atom", "H", "--gamma-m", "1e-10", "--beta", "0.1"], "--gamma-m", "--atom"),
+], ids=["particle-z", "particle-mass", "atom-z-nucleus", "atom-gamma"])
+def test_preset_with_its_own_fields_is_refused(capsys, argv, flag, preset):
+    # a preset fixes the fields it names: giving one of them as well is a
+    # config error, not a silent override
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
-    assert "Xe" in err
+    assert out == ""
+    assert err == f"selffield: config error: {flag}: fixed by the preset given with {preset}\n"
 
 
 # --- config files ----------------------------------------------------------------
@@ -200,6 +218,23 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys, doc):
     assert out == ""
     assert err.startswith("selffield: config error: ")
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_config_equals_form(tmp_path, capsys):
+    # --config=path is the same option as --config path, and neither form
+    # takes a subcommand beside it
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "minimize", "particle": "electron",
+                                "beta": 0.1}))
+    spaced = run_cli(capsys, "--config", str(path))
+    joined = run_cli(capsys, f"--config={path}")
+    assert joined == spaced
+    assert spaced[0] == EXIT_OK
+    code, out, err = run_cli(capsys, f"--config={path}", "minimize",
+                             "--particle", "proton", "--beta", "0.2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("selffield: config error: config: ")
 
 
 def test_config_missing_file(capsys):

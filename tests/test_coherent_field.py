@@ -14,7 +14,7 @@ from selffield.coherent_field import (classical_current_fourier,
                                       mean_vector_potential,
                                       momentum_coefficient,
                                       renormalized_momentum,
-                                      retardation_ratio, total_momentum,
+                                      total_momentum,
                                       transverse_efield_fourier,
                                       transverse_project,
                                       vector_potential_fourier)
@@ -238,7 +238,3 @@ def test_momentum_coefficient_grid():
             p = _packet(b=b, beta=beta)
             assert momentum_coefficient(p) == pytest.approx(4.0 / 15.0, rel=1e-8, abs=0)
 
-
-def test_retardation_diagnostic():
-    assert retardation_ratio(_packet(beta=0.1)) == pytest.approx(0.1, rel=1e-14, abs=0)
-    assert retardation_ratio(_packet(beta=0.0)) == 0.0

@@ -18,7 +18,7 @@ from selffield import dynamics
 from selffield.errors import GridMismatchError, TimestepTooLargeError
 from selffield.scales import CONST, ELECTRON, ParticleSpec
 from selffield.wavepacket import GaussianPacket
-from selffield.dynamics import (GridSpec, GridState, _potential_factor,
+from selffield.dynamics import (GridSpec, GridState, _dot, _potential_factor,
                                 _Workspace, diagnostics, evolve, init_grid,
                                 load_snapshot, save_snapshot,
                                 solve_vector_potential, step,
@@ -369,10 +369,12 @@ def test_mixed_term_guard():
     spec = small_spec()
     state = init_grid(spec, packet())
     ws = _Workspace(spec)
-    out = _potential_factor(ws, state.psi, 100.0 * state.a_field, spec.dt)
+    a = 100.0 * state.a_field
+    out = _potential_factor(ws, state.psi, a, spec.dt, _dot(a, a))
     assert np.all(np.isfinite(out))
+    a = 1e3 * state.a_field
     with pytest.raises(TimestepTooLargeError, match="mixed-term"):
-        _potential_factor(ws, state.psi, 1e3 * state.a_field, spec.dt)
+        _potential_factor(ws, state.psi, a, spec.dt, _dot(a, a))
 
 
 def test_plane_wave_phase_advance_exact():

@@ -1,15 +1,14 @@
 """Tests for the itemized conserved-energy budget."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from selffield.scales import CONST, ELECTRON, EV, derived_scales, ParticleSpec
-from selffield.wavepacket import GaussianPacket, gaussian_profile
-from selffield.energy_budget import (BudgetMode, a_squared_rate_term,
-                                     assemble_budget, convective_energy,
+from selffield.wavepacket import GaussianPacket
+from selffield.energy_budget import (BudgetMode, assemble_budget,
+                                     convective_energy,
                                      current_potential_energy,
                                      current_potential_energy_quadrature,
                                      electrostatic_energy,
@@ -48,12 +47,6 @@ def test_electrostatic_quadrature_oracle():
         p = _packet(b=float(b))
         assert electrostatic_energy_quadrature(p) == pytest.approx(
             electrostatic_energy(p), rel=1e-10, abs=0)
-
-
-def test_electrostatic_profile_path():
-    prof = gaussian_profile(A_B)
-    got = electrostatic_energy(prof, charge=-CONST.e_charge)
-    assert got == pytest.approx(electrostatic_energy(_packet()), rel=1e-8, abs=0)
 
 
 # --- current-potential interaction -------------------------------------------
@@ -113,19 +106,6 @@ def test_transverse_field_quadrature_oracle():
             transverse_field_energy(p), rel=1e-8, abs=0)
 
 
-# --- width-breathing diagnostic ----------------------------------------------
-
-def test_a_squared_rate_zeros():
-    assert a_squared_rate_term(_packet(), 0.0) == 0.0
-    assert a_squared_rate_term(_packet(beta=0.0), 1e-3 * CONST.c) == 0.0
-
-
-def test_a_squared_rate_negligible():
-    p = _packet()
-    value = a_squared_rate_term(p, 1e-3 * CONST.c)
-    assert abs(value) < 1e-6 * abs(current_potential_energy(p))
-
-
 # --- budget assembly -----------------------------------------------------------
 
 def test_budget_at_rest_has_no_binding_terms():
@@ -175,7 +155,7 @@ def test_budget_convective_constant_reference():
 
 def test_budget_serialization():
     budget = assemble_budget(_packet(), BudgetMode.ASSEMBLED)
-    data = json.loads(budget.to_json())
+    data = budget.to_dict()
     assert data["mode"] == "Assembled"
     assert set(budget.CSV_FIELDS) == set(data.keys())
     assert data["electrostatic_eV"] == pytest.approx(5.4279, rel=1e-4, abs=0)

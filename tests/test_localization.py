@@ -1,6 +1,5 @@
 """Tests for the localization minimizer, scalings, ratio law, and sweeps."""
 
-import json
 import math
 import warnings
 
@@ -15,8 +14,7 @@ from selffield.energy_budget import (BudgetMode, assemble_budget,
 from selffield.wavepacket import GaussianPacket
 from selffield.localization import (closed_form_binding, closed_form_radius,
                                     debroglie_ratio, functional_coefficients,
-                                    minimize_radius, scale_to_particle, sweep,
-                                    sweep_to_json)
+                                    minimize_radius, scale_to_particle, sweep)
 
 
 def test_electron_reference_numbers():
@@ -196,7 +194,7 @@ def test_sweep_error_rows():
     assert rows[0].status == "no-minimum"
     assert rows[1].status == "ok"
     assert rows[2].status == "invalid-velocity"
-    data = json.loads(sweep_to_json(rows))
+    data = [r.to_dict() for r in rows]
     assert data[0]["b_star_m"] is None
     assert data[1]["b_star_m"] == pytest.approx(1.4923e-8, rel=1e-3, abs=0)
 

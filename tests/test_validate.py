@@ -6,7 +6,7 @@ import time
 import pytest
 
 from selffield import validate
-from selffield.scales import CONST, PhysicalConstants
+from selffield.scales import CONST
 from selffield.validate import (check_snapshot_roundtrip, parse_report,
                                 report_to_json, run_validation)
 
@@ -21,13 +21,14 @@ def test_fresh_build_all_pass_and_fast():
 
 
 def test_tampered_constants_named_failure():
-    # a shifted elementary charge must break the closed-form radius check,
-    # and the report names the failing entry
-    tampered = PhysicalConstants(e_charge=CONST.e_charge * (1.0 + 1e-6))
-    report = run_validation(constants=tampered, include_dynamics=False)
-    assert report["all_passed"] is False
-    failing = [e["name"] for e in report["entries"] if not e["passed"]]
-    assert failing == ["localization-reference-values"]
+    # each shifted constant must break the closed-form radius check, and the
+    # report names the failing entry
+    for name in ("e_charge", "hbar", "eps0", "m_electron"):
+        tampered = dataclasses.replace(CONST, **{name: getattr(CONST, name) * (1.0 + 1e-6)})
+        report = run_validation(constants=tampered, include_dynamics=False)
+        assert report["all_passed"] is False, name
+        failing = [e["name"] for e in report["entries"] if not e["passed"]]
+        assert failing == ["localization-reference-values"], name
 
 
 def test_report_roundtrips_through_parser():

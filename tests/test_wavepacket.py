@@ -11,7 +11,6 @@ from selffield.wavepacket import (GaussianPacket, RadialProfile,
                                   density_fourier, fourier_density_numeric,
                                   gaussian_profile, internal_kinetic_energy,
                                   internal_kinetic_energy_numeric,
-                                  load_radial_profile_csv,
                                   uniform_ball_profile)
 
 A_B = derived_scales(ELECTRON, 0.0).bohr_like_length
@@ -116,24 +115,3 @@ def test_internal_kinetic_numeric_oracle():
         assert internal_kinetic_energy_numeric(p) == pytest.approx(
             internal_kinetic_energy(p), rel=1e-10, abs=0)
 
-
-def test_profile_csv_roundtrip(tmp_path):
-    b = 1e-10
-    r = np.linspace(1e-14, 40 * b, 4000)
-    rho = (4.0 * math.pi * b**2) ** -1.5 * np.exp(-((r / (2 * b)) ** 2))
-    path = tmp_path / "profile.csv"
-    lines = ["# r_m, rho_per_m3"]
-    lines += [f"{ri:.17e},{di:.17e}" for ri, di in zip(r, rho)]
-    path.write_text("\n".join(lines))
-    prof = load_radial_profile_csv(path)
-    packet = GaussianPacket(b=b, particle=ELECTRON)
-    for qb in (0.3, 1.0, 2.0):
-        assert fourier_density_numeric(prof, qb / b) == pytest.approx(
-            density_fourier(packet, qb / b), abs=1e-7)
-
-
-def test_profile_csv_rejects_disorder(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1e-10,1.0\n5e-11,2.0\n2e-10,1.0\n3e-10,0.5\n")
-    with pytest.raises(ValueError):
-        load_radial_profile_csv(path)

@@ -19,15 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .errors import NoLocalizationError, NoMinimumError
 from .scales import (AMU_ELECTRON_RATIO, CONST, ELECTRON, PROTON,
                      ParticleSpec, derived_scales)
 from .localization import LocalizationResult, functional_coefficients
 from .energy_budget import BudgetMode
-from .wavepacket import QUAD_ATOL, QUAD_RTOL, U_MAX
+from .wavepacket import QUAD_ATOL, QUAD_RTOL, U_MAX, quad
 
 # b/gamma where -b^3 dS/db peaks (at 0.35743 gamma); the screened
 # functional has a minimum only if its derivative turns positive there
@@ -156,9 +153,12 @@ def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
     which also checks beta (the centre-of-mass velocity).  As
     0 <= -b^2 dS/db <= 1, f' < 0 at b0/2 (b0 = 2K/C), and f' can turn
     positive only by the peak of -b^3 dS/db at 0.5717 gamma; the root of f'
-    is bracketed by doubling from b0 up to that peak and solved by brentq.
+    is bracketed by doubling from b0 up to that peak and solved by brentq,
+    which is imported here, so that only this solve loads scipy.optimize.
     NoLocalizationError when screening wins (no root, or no positive depth).
     """
+    from scipy.optimize import brentq
+
     nucleus = ParticleSpec(z=a.z_nucleus, mass=a.mass_total,
                            label=a.label or f"Z={a.z_nucleus} atom")
     try:

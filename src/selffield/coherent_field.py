@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SingularWavevectorError
 from .scales import CONST
 from .wavepacket import (GaussianPacket, QUAD_ATOL, QUAD_RTOL, U_MAX,
-                         electrostatic_energy)
+                         electrostatic_energy, quad)
 
 # analytic angular averages over the unit sphere
 ANGULAR_TRANSVERSE = 2.0 / 3.0        # <1 - cos^2 theta>

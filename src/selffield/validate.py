@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .scales import (CONST, CONSTANTS_VERSION, ELECTRON, EV, PROTON,
+from .scales import (CONST, CONSTANTS_VERSION, ELECTRON, PROTON,
                      ParticleSpec, PhysicalConstants, derived_scales)
 from .wavepacket import (GaussianPacket, density_fourier,
                          fourier_density_numeric, gaussian_profile,
@@ -32,7 +32,6 @@ from .energy_budget import (BudgetMode, assemble_budget,
                             current_potential_energy_quadrature,
                             electrostatic_energy,
                             electrostatic_energy_quadrature,
-                            transverse_field_energy,
                             transverse_field_energy_quadrature)
 from .localization import (RADIUS_PREFACTOR, BINDING_PREFACTOR,
                            closed_form_binding, closed_form_radius,

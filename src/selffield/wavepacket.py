@@ -8,6 +8,9 @@ here side by side: the internal kinetic energy 3 hbar^2 / (16 M b^2) and
 the electrostatic self-energy E_el, of which every self-field term of the
 energy budget is a multiple.  RadialProfile provides the brute-force
 quadrature path for the form factor, the oracle against the Gaussian one.
+The package's one adaptive quadrature, quad, lives here beside its
+tolerances; it loads scipy.integrate on its first call, so commands that
+only evaluate closed forms never import it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidVelocityError, NormalizationError
 from .scales import CONST, ParticleSpec
@@ -28,6 +30,12 @@ from .scales import CONST, ParticleSpec
 QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-300
 U_MAX = 40.0
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def _unit(v) -> np.ndarray:

@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from selffield.scales import CONST, ELECTRON, EV, PROTON, derived_scales
 from selffield.wavepacket import (GaussianPacket, internal_kinetic_energy,

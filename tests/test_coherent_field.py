@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selffield.errors import SingularWavevectorError
-from selffield.scales import CONST, ELECTRON, EV, PROTON, derived_scales
+from selffield.scales import CONST, ELECTRON, PROTON, derived_scales
 from selffield.wavepacket import GaussianPacket
 from selffield.coherent_field import (classical_current_fourier,
                                       field_momentum,

@@ -1,7 +1,5 @@
 """Tests for the itemized conserved-energy budget."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -3,7 +3,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 

@@ -109,16 +109,16 @@ def test_cli_exit_code_contract(argv):
 
 # --- evolve argv and --config documents -----------------------------------------
 
-def _run_in_tempdir(argv, config=None, warning_action="ignore"):
+def _run_in_tempdir(argv, config=None):
     """Exit code (argparse's SystemExit counts), stdout, stderr and the text of
     the output file, in a fresh working directory holding config as run.json.
-    Warnings that pass the filter warning_action lead stderr, as the CLI
-    would print them."""
+    Every warning is shown, and main prints each as a selffield: line, so
+    none may escape it."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter(warning_action)
+        warnings.simplefilter("always")
         if config is not None:
             with open("run.json", "w") as fh:
                 json.dump(config, fh)
@@ -130,9 +130,8 @@ def _run_in_tempdir(argv, config=None, warning_action="ignore"):
         if code == 0 and os.path.exists("out.csv"):
             with open("out.csv") as fh:
                 written = fh.read()
-    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
-                    for w in caught)
-    return code, out.getvalue(), shown + err.getvalue(), written
+    assert caught == [], (argv, config, [str(w.message) for w in caught])
+    return code, out.getvalue(), err.getvalue(), written
 
 
 def _check_contract(code, out, err, written, context):
@@ -189,7 +188,7 @@ def evolve_argvs(draw):
                "--dt=1e-170", "--n=32", "--steps=3"])
 def test_evolve_exit_code_contract(argv):
     # every warning is shown: a failure prints exactly one selffield: line
-    code, out, err, written = _run_in_tempdir(argv, warning_action="always")
+    code, out, err, written = _run_in_tempdir(argv)
     _check_contract(code, out, err, written, argv)
     if code != 0:
         assert err.startswith("selffield: ") and err.count("\n") == 1, (argv, err)

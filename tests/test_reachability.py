@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package is reached by the package."""
+"""Every top-level function and class of the package is reached by the package,
+and every name a package module imports is used there."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,20 @@ def test_every_definition_is_referenced_or_exported():
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        and node.name not in referenced | exported)
     assert unreached == []
+
+
+def test_every_import_is_used():
+    # every name a module other than __init__ imports (at module level or
+    # inside a function) is named in that module; __init__ imports to export
+    unused = []
+    for module, tree in TREES.items():
+        if module == "__init__":
+            continue
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += [f"{module}.{name}" for alias in node.names
+                           if (name := (alias.asname or alias.name).partition(".")[0])
+                           not in named]
+    assert unused == []

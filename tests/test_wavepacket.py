@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selffield.errors import InvalidVelocityError, NormalizationError
-from selffield.scales import CONST, ELECTRON, EV, PROTON, derived_scales
+from selffield.scales import ELECTRON, EV, PROTON, derived_scales
 from selffield.wavepacket import (GaussianPacket, RadialProfile,
                                   density_fourier, fourier_density_numeric,
                                   gaussian_profile, internal_kinetic_energy,

@@ -24,7 +24,7 @@ from .scales import (AMU_ELECTRON_RATIO, CONST, ELECTRON, PROTON,
                      ParticleSpec, derived_scales)
 from .localization import LocalizationResult, functional_coefficients
 from .energy_budget import BudgetMode
-from .wavepacket import QUAD_ATOL, QUAD_RTOL, U_MAX, quad
+from .wavepacket import U_MAX, quad
 
 # b/gamma where -b^3 dS/db peaks (at 0.35743 gamma); the screened
 # functional has a minimum only if its derivative turns positive there
@@ -134,8 +134,7 @@ def atom_electrostatic_energy_quadrature(a: NeutralAtom, b: float) -> float:
 
     # breakpoint where the screening factor turns on, clipped into range
     turn_on = min(max(1.0 / math.sqrt(ratio_sq), 1e-12), U_MAX * 0.5)
-    val, _ = quad(integrand, 0.0, U_MAX, points=[turn_on],
-                  epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=300)
+    val, _ = quad(integrand, 0.0, U_MAX, points=[turn_on], limit=300)
     return (a.z_nucleus * CONST.e_charge) ** 2 / (
         4.0 * math.pi**2 * CONST.eps0) * val / b
 

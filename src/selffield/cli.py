@@ -314,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# strict schema for --config files, read off the parser: exactly the flags of
-# each subcommand, and the store_true switches, the only keys that take a
-# JSON boolean
-_SUBCOMMANDS = next(a for a in build_parser()._actions
+# the process's one parser; the strict schema for --config files is read off
+# it: exactly the flags of each subcommand, and the store_true switches, the
+# only keys that take a JSON boolean
+_PARSER = build_parser()
+_SUBCOMMANDS = next(a for a in _PARSER._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
 CONFIG_KEYS = {name: {a.dest for a in sub._actions if a.dest != "help"}
                for name, sub in _SUBCOMMANDS.items()}
@@ -360,9 +361,8 @@ def config_to_argv(config) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
             if args.command is not None:
                 raise ConfigError("config", "a config file replaces all other arguments")
@@ -374,9 +374,9 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_IO
             except json.JSONDecodeError as exc:
                 raise ConfigError("config", f"invalid JSON: {exc}") from exc
-            args = parser.parse_args(config_to_argv(config))
+            args = _PARSER.parse_args(config_to_argv(config))
         if args.command is None:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             return EXIT_CONFIG
         _fft_workers()   # a malformed SELFFIELD_THREADS fails every subcommand
         with warnings.catch_warnings():   # a warning is one selffield: line

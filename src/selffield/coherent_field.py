@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import SingularWavevectorError
 from .scales import CONST
-from .wavepacket import (GaussianPacket, QUAD_ATOL, QUAD_RTOL, U_MAX,
-                         electrostatic_energy, quad)
+from .wavepacket import GaussianPacket, U_MAX, electrostatic_energy, quad
 
 # analytic angular averages over the unit sphere
 ANGULAR_TRANSVERSE = 2.0 / 3.0        # <1 - cos^2 theta>
@@ -91,8 +90,7 @@ def transverse_efield_fourier(p: GaussianPacket, q) -> SpectralVector:
 
 def _radial_i2(p: GaussianPacket) -> float:
     """int_0^inf rho_hat(q)^2 dq = (1/b) int exp(-2 u^2) du by quadrature."""
-    val, _ = quad(lambda u: math.exp(-2.0 * u * u), 0.0, U_MAX,
-                  epsabs=QUAD_ATOL, epsrel=QUAD_RTOL)
+    val, _ = quad(lambda u: math.exp(-2.0 * u * u), 0.0, U_MAX)
     return val / p.b
 
 

@@ -8,10 +8,12 @@ A-dependent factor with the field refreshed from the midpoint psi, half
 kinetic step again.  The A^2 term is a pure phase; the mixed A.grad term is
 applied through a short unitarized polynomial of the anti-Hermitian
 generator (A.grad + div(A .)), keeping per-step norm drift at roundoff.
-The real current and field pass through the half spectrum (rfftn/irfftn),
-in the step and in the diagnostics records alike.  Every first derivative
-is _Workspace.deriv: a 1-D transform along its axis, i k_grad, and the 1-D
-inverse, two thirds of a 3-D transform pair.
+A comes from one field solve of real-space psi, _Workspace.field_hat (its
+half spectrum, with the current) or _Workspace.field (A itself), which
+init_grid, solve_vector_potential, the step and the records all call; the
+real current and field pass through the half spectrum (rfftn/irfftn).
+Every first derivative is _Workspace.deriv: a 1-D transform along its
+axis, i k_grad, and the 1-D inverse, two thirds of a 3-D transform pair.
 
 The per-axis derivative chains are independent, so they run as tasks of one
 module-level thread pool (_Workspace.map, sized like the 3-D transforms by
@@ -36,7 +38,7 @@ kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
 correction), total momentum (matter + field), and a power-balance residual
 standing in for the Poynting surface flux, which vanishes identically on a
 torus.  In n^3-equivalents (a 1-D pass is 1/3, a half-size real transform
-1/2) a fused coupled step costs 15 and a record 14.
+1/2) a fused coupled step costs 15, a record 14 and init_grid 5.
 """
 
 from __future__ import annotations
@@ -155,8 +157,7 @@ class _Workspace:
     """Precomputed spectral machinery for one GridSpec.
 
     Wavenumbers and coordinates are kept as 1-D arrays that broadcast along
-    their axis; the full (3, n, n, n) grids k, k_grad and r are built on
-    demand.
+    their axis; the full (3, n, n, n) position grid r is built on demand.
     """
 
     def __init__(self, spec: GridSpec):
@@ -192,16 +193,6 @@ class _Workspace:
         self.kin_omega = CONST.hbar * self.k2 / (2.0 * mass)  # rad/s per mode
         self.charge = spec.particle.charge
         self.workers = _fft_workers()
-
-    @property
-    def k(self) -> np.ndarray:
-        """Wavevector grid (3, n, n, n)."""
-        return np.array(np.broadcast_arrays(*self.k_axes))
-
-    @property
-    def k_grad(self) -> np.ndarray:
-        """First-derivative wavevector grid (3, n, n, n), Nyquist zeroed."""
-        return np.array(np.broadcast_arrays(*self.k_grad_axes))
 
     @property
     def r(self) -> np.ndarray:
@@ -320,15 +311,18 @@ class _Workspace:
         a_hat *= self._wavenumbers(j_hat)[1] / (CONST.eps0 * CONST.c**2)
         return a_hat
 
-    def solve_a(self, psi_hat, a_prev=None):
-        """psi and its slaved field from the spectrum psi_hat, which it
-        overwrites: (psi, a_field).  The real current and field go through
-        the half spectrum.
-        """
-        psi = self.ifftn(psi_hat, overwrite=True)
-        j = self.current(psi, self.grad(psi), a_field=a_prev)
-        a_field = self.irfftn(self.vector_potential_hat(self.rfftn(j)))
-        return psi, a_field
+    def field_hat(self, psi, grad, a_prev=None):
+        """The field solve of real-space psi with gradient grad: (j, a_hat),
+        the source current (with the diagonal nA piece when the spec has it
+        and a_prev is given) and the rfftn half spectrum of the field it
+        slaves."""
+        j = self.current(psi, grad, a_field=a_prev)
+        del grad    # the transforms below need not hold a gradient too
+        return j, self.vector_potential_hat(self.rfftn(j))
+
+    def field(self, psi, a_prev=None):
+        """The slaved field A of real-space psi, (3, n, n, n)."""
+        return self.irfftn(self.field_hat(psi, self.grad(psi), a_prev)[1])
 
 
 def _packet_on_grid(ws: _Workspace, packet: GaussianPacket):
@@ -358,8 +352,7 @@ def init_grid(spec: GridSpec, packet: GaussianPacket) -> GridState:
         raise ValueError("packet and grid must carry the same particle")
     ws = _Workspace(spec)
     psi = _packet_on_grid(ws, packet)
-    _, a_field = ws.solve_a(ws.fftn(psi))
-    return GridState(psi=psi, a_field=a_field, t=0.0)
+    return GridState(psi=psi, a_field=ws.field(psi), t=0.0)
 
 
 def solve_vector_potential(state: GridState, spec: GridSpec) -> np.ndarray:
@@ -368,9 +361,7 @@ def solve_vector_potential(state: GridState, spec: GridSpec) -> np.ndarray:
     Returns the updated a_field array (3, n, n, n); transverse to roundoff,
     with the k = 0 (uniform) mode set to zero.
     """
-    ws = _Workspace(spec)
-    _, a_field = ws.solve_a(ws.fftn(state.psi), a_prev=state.a_field)
-    return a_field
+    return _Workspace(spec).field(state.psi, a_prev=state.a_field)
 
 
 def transversality_residual(a_field: np.ndarray, spec: GridSpec) -> float:
@@ -465,12 +456,11 @@ def _potential_factor(ws: _Workspace, psi, a_field, tau, a2):
 class _Fsal:
     """First-same-as-last hand-over between consecutive steps.
 
-    psi_hat: fftn of psi after the previous step's field factor (skipped
-        with coupling off), whose trailing half kinetic factor is still
-        due; None starts the step from state.psi.
+    psi_hat: the finished spectrum of the state the next step starts
+        from; None starts the step from state.psi.
     close: finish the step in real space (a record or the run's end is
-        due); otherwise the step leaves its trailing half kinetic factor
-        in psi_hat and returns psi = None.
+        due); otherwise the step hands its finished spectrum over in
+        psi_hat and returns psi = None.
     """
 
     psi_hat: np.ndarray | None = None
@@ -498,11 +488,10 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         psi_hat, fsal.psi_hat = fsal.psi_hat, None
     if psi_hat is None:
         psi_hat = ws.fftn(state.psi)
-    else:
-        psi_hat *= half_kin    # the previous step's trailing factor
     psi_hat *= half_kin
     if spec.coupling:
-        psi_mid, a_mid = ws.solve_a(psi_hat, a_prev=state.a_field)
+        psi_mid = ws.ifftn(psi_hat, overwrite=True)
+        a_mid = ws.field(psi_mid, a_prev=state.a_field)
         a2 = _dot(a_mid, a_mid)
         if a2_history is not None:
             a2_history.append(ws.integral(a2))
@@ -512,11 +501,11 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         a_mid = state.a_field
         if a2_history is not None:
             a2_history.append(0.0)
+    psi_hat *= half_kin
     t = state.t + spec.dt
     if fsal is not None and not fsal.close:
         fsal.psi_hat = psi_hat
         return GridState(psi=None, a_field=a_mid, t=t)
-    psi_hat *= half_kin
     return GridState(psi=ws.ifftn(psi_hat, overwrite=True), a_field=a_mid, t=t)
 
 
@@ -544,8 +533,8 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
                 step_index: int = 0) -> DiagnosticsRecord:
     """Evaluate norm, conserved energy, momentum, and the flux residual.
 
-    A and the transverse E-field take the step's field path,
-    vector_potential_hat of an rfftn half spectrum: A from the current, and
+    A comes from the step's field solve, field_hat, and the transverse
+    E-field from the same vector_potential_hat of an rfftn half spectrum:
     E_hat = -P_perp dj/dt_hat / (eps0 c^2 k^2) without time history, with
     dj/dt computed from the instantaneous Schroedinger flow.  Spectral sums
     run over the half spectrum (_Workspace.half_sum).  The magnetic energy
@@ -576,10 +565,8 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
     # slaved field and interaction energy, on the step's half-spectrum path
     grad = ws.grad(psi)
-    j_can = ws.current(psi, grad)
-    j_src = ws.current(psi, grad, a_field=state.a_field) \
-        if spec.include_diagonal_na else j_can
-    a_hat = ws.vector_potential_hat(ws.rfftn(j_src))
+    j_src, a_hat = ws.field_hat(psi, grad, a_prev=state.a_field)
+    j_can = ws.current(psi, grad) if spec.include_diagonal_na else j_src
     a_field = ws.irfftn(a_hat.copy())
     interaction = -0.5 * ws.integral(_dot(j_can, a_field))
     j_dot_a = ws.integral(_dot(j_src, a_field))
@@ -716,20 +703,19 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
     _check_timestep(spec)
     ws = _Workspace(spec)
     a2_history: deque = deque(maxlen=3)
-    records = [_finite(diagnostics(state, spec, ws=ws, a2_history=a2_history,
-                                   step_index=0))]
-    prev_power = (records[0].t, records[0].field_energy, records[0].current_dot_e)
-
+    records: list[DiagnosticsRecord] = []
     fsal = _Fsal()
     current = state
-    for k in range(1, n_steps + 1):
-        fsal.close = k % record_stride == 0 or k == n_steps
-        current = step(current, spec, ws=ws, a2_history=a2_history, fsal=fsal)
+    for k in range(n_steps + 1):
+        if k:
+            fsal.close = k % record_stride == 0 or k == n_steps
+            current = step(current, spec, ws=ws, a2_history=a2_history, fsal=fsal)
         if fsal.close:
-            rec = _finite(diagnostics(current, spec, ws=ws, a2_history=a2_history,
-                                      prev_power=prev_power, step_index=k))
-            records.append(rec)
-            prev_power = (rec.t, rec.field_energy, rec.current_dot_e)
+            prev_power = (records[-1].t, records[-1].field_energy,
+                          records[-1].current_dot_e) if records else None
+            records.append(_finite(diagnostics(
+                current, spec, ws=ws, a2_history=a2_history,
+                prev_power=prev_power, step_index=k)))
     return Trajectory(records=records, final_state=current)
 
 
@@ -740,7 +726,8 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
 def save_snapshot(state: GridState, spec: GridSpec, path):
     """Write header line (JSON) + psi (Re,Im pairs) + A_x, A_y, A_z blocks.
 
-    All float64 little-endian, row-major with x the fastest index.
+    All float64 little-endian, row-major with x the fastest index: psi is
+    one <c16 block and A one <f8 block.
     """
     header = {
         "version": SNAPSHOT_VERSION,
@@ -752,18 +739,11 @@ def save_snapshot(state: GridState, spec: GridSpec, path):
         "coupling": spec.coupling,
         "include_diagonal_nA": spec.include_diagonal_na,
     }
-    n = spec.n
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        psi_xfast = np.ascontiguousarray(state.psi.transpose(2, 1, 0))
-        inter = np.empty((n**3, 2), dtype="<f8")
-        inter[:, 0] = psi_xfast.real.ravel()
-        inter[:, 1] = psi_xfast.imag.ravel()
-        fh.write(inter.tobytes())
-        for comp in range(3):
-            block = np.ascontiguousarray(
-                state.a_field[comp].transpose(2, 1, 0)).astype("<f8")
-            fh.write(block.tobytes())
+        fh.write(np.ascontiguousarray(state.psi.T, dtype="<c16"))
+        fh.write(np.ascontiguousarray(state.a_field.transpose(0, 3, 2, 1),
+                                      dtype="<f8"))
 
 
 # header fields and types exactly as save_snapshot writes them
@@ -815,11 +795,8 @@ def load_snapshot(path, label: str = "") -> tuple[GridState, GridSpec]:
         if size != expected:
             raise ConfigError("snapshot_in", f"file is {size} bytes, expected {expected} "
                               f"for n = {n}")
-        inter = np.frombuffer(fh.read(n**3 * 2 * 8), dtype="<f8").reshape(n**3, 2)
-        psi = (inter[:, 0] + 1j * inter[:, 1]).reshape(n, n, n).transpose(2, 1, 0)
-        a = np.empty((3, n, n, n))
-        for comp in range(3):
-            block = np.frombuffer(fh.read(n**3 * 8), dtype="<f8").reshape(n, n, n)
-            a[comp] = block.transpose(2, 1, 0)
-    return GridState(psi=np.ascontiguousarray(psi), a_field=a,
-                     t=header["t_s"]), spec
+        psi = np.frombuffer(fh.read(n**3 * 16), dtype="<c16").reshape(n, n, n)
+        psi = np.ascontiguousarray(psi.T, dtype=complex)
+        a = np.frombuffer(fh.read(3 * n**3 * 8), dtype="<f8").reshape(3, n, n, n)
+    return GridState(psi=psi, t=header["t_s"],
+                     a_field=np.ascontiguousarray(a.transpose(0, 3, 2, 1), dtype=float)), spec

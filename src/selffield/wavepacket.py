@@ -8,9 +8,9 @@ here side by side: the internal kinetic energy 3 hbar^2 / (16 M b^2) and
 the electrostatic self-energy E_el, of which every self-field term of the
 energy budget is a multiple.  RadialProfile provides the brute-force
 quadrature path for the form factor, the oracle against the Gaussian one.
-The package's one adaptive quadrature, quad, lives here beside its
-tolerances; it loads scipy.integrate on its first call, so commands that
-only evaluate closed forms never import it.
+The package's one adaptive quadrature, quad, lives here beside the
+tolerances it applies; it loads scipy.integrate on its first call, so
+commands that only evaluate closed forms never import it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ QUAD_ATOL = 1e-300
 U_MAX = 40.0
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call."""
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad of func over [a, b] at the package tolerances,
+    imported on the first call; kwargs add what differs (limit, points)."""
     from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+    return scipy_quad(func, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, **kwargs)
 
 
 def _unit(v) -> np.ndarray:
@@ -115,7 +116,7 @@ def internal_kinetic_energy_numeric(p: GaussianPacket) -> float:
         # |dphi/dr|^2 = (r / 4 b^2)^2 |phi|^2
         return s**2 * (s / 4.0) ** 2 * norm * math.exp(-(s**2) / 4.0)
 
-    val, _ = quad(integrand, 0.0, U_MAX, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL)
+    val, _ = quad(integrand, 0.0, U_MAX)
     return CONST.hbar**2 / (2.0 * mass * (b * b)) * 4.0 * math.pi * val
 
 
@@ -139,8 +140,7 @@ class RadialProfile:
 
     def norm_integral(self) -> float:
         """4 pi int_0^R r^2 rho(r) dr by adaptive quadrature."""
-        val, _ = quad(lambda r: r**2 * self.rho(r), 0.0, self.support_radius,
-                      epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
+        val, _ = quad(lambda r: r**2 * self.rho(r), 0.0, self.support_radius, limit=200)
         return 4.0 * math.pi * val
 
 
@@ -186,7 +186,6 @@ def fourier_density_numeric(prof: RadialProfile, q: float) -> float:
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, _ = quad(integrand, 0.0, prof.support_radius,
-                      epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, limit=200)
+        val, _ = quad(integrand, 0.0, prof.support_radius, limit=200)
     return 4.0 * math.pi * val
 

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from selffield import cli
 from selffield.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            config_to_argv, main, parse_beta_grid)
 from selffield.errors import ConfigError
@@ -235,6 +236,21 @@ def test_config_equals_form(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("selffield: config error: config: ")
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # main parses with the parser the module built at import, for every
+    # subcommand and for a --config file alike
+    calls, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "minimize", "particle": "electron",
+                                "beta": 0.1}))
+    assert run_cli(capsys, "minimize", "--particle", "electron", "--beta", "0.1")[0] == EXIT_OK
+    assert run_cli(capsys, "energy", "--particle", "electron", "--beta", "0.1",
+                   "--b", "5.29e-11")[0] == EXIT_OK
+    assert run_cli(capsys, "--config", str(path))[0] == EXIT_OK
+    assert calls == []
 
 
 def test_config_missing_file(capsys):

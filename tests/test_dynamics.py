@@ -109,7 +109,7 @@ def test_init_momentum_expectation():
     ws = _Workspace(spec)
     psi_hat = ws.fftn(state.psi)
     weight = np.abs(psi_hat) ** 2
-    v = np.array([float(np.sum(ws.k[i] * weight)) for i in range(3)])
+    v = np.array([float(np.sum(k_i * weight)) for k_i in _seed_wavenumbers(spec)[0]])
     v *= CONST.hbar / (ELECTRON.mass * float(np.sum(weight)))
     assert abs(v[2] - 0.1 * CONST.c) / (0.1 * CONST.c) < 1e-3
     assert abs(v[0]) / (0.1 * CONST.c) < 1e-3
@@ -163,7 +163,7 @@ def test_solve_field_matches_spectral_closed_form():
     pkt = packet(b=b)
     state = init_grid(spec, pkt)
     ws = _Workspace(spec)
-    phase = np.exp(-1j * np.tensordot(np.full(3, ws.centre), ws.k, axes=(0, 0)))
+    phase = np.exp(-1j * np.tensordot(np.full(3, ws.centre), _seed_wavenumbers(spec)[0], 1))
     rho_hat = np.exp(-b**2 * ws.k2) * phase / ws.dv
     j_hat = (ELECTRON.charge / ELECTRON.mass) * rho_hat[None, ...] \
         * pkt.momentum.reshape(3, 1, 1, 1).astype(complex)
@@ -438,7 +438,7 @@ def test_ehrenfest_drift():
     psi_hat = ws.fftn(state.psi)
     weight = np.abs(psi_hat) ** 2
     p_vec = CONST.hbar * np.array(
-        [float(np.sum(ws.k_grad[i] * weight)) for i in range(3)]) \
+        [float(np.sum(kg * weight)) for kg in _seed_wavenumbers(spec)[2]]) \
         / float(np.sum(weight))
 
     def mean_positions(psi, around):
@@ -484,7 +484,7 @@ def test_diagnostics_momentum_field_alignment():
     psi_hat = ws.fftn(state.psi)
     dv_k = ws.dv / spec.n**3
     p_matter = CONST.hbar * dv_k * np.array(
-        [float(np.sum(ws.k_grad[i] * np.abs(psi_hat) ** 2)) for i in range(3)])
+        [float(np.sum(kg * np.abs(psi_hat) ** 2)) for kg in _seed_wavenumbers(spec)[2]])
     p_field = rec.momentum - p_matter
     angle = math.atan2(np.linalg.norm(p_field[:2]), p_field[2])
     assert abs(angle) < 1e-3
@@ -652,6 +652,26 @@ def test_transform_counts_per_step_and_record_uncoupled(monkeypatch):
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
+def test_transform_counts_of_field_solve_from_real_space(monkeypatch, diagonal):
+    # init_grid and solve_vector_potential solve the field from the psi they
+    # hold: the gradient (2), rfftn of the current and irfftn of A (3/2 each)
+    counts = []
+    lock = threading.Lock()
+
+    def add(weight):
+        with lock:
+            counts[-1] += weight
+
+    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
+    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add))
+    counts.append(0)
+    state = init_grid(spec, packet())
+    counts.append(0)
+    solve_vector_potential(state, spec)
+    assert len(counts) == 2 and max(counts) <= 5
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
 def test_trajectory_bit_identical_at_any_thread_count(monkeypatch, diagonal):
     # pool tasks write into their own buffers and the main thread sums them in
     # axis order, so the thread count changes no bit; stride 3 runs the FSAL
@@ -696,9 +716,11 @@ def _peak_arrays(fn):
 def test_record_and_step_memory_bounds(diagonal):
     # a coupled record releases its intermediates once consumed and builds
     # the current and dj/dt one component at a time; the step's three mixed
-    # term pair buffers keep a fused interior step within 13 arrays
+    # term pair buffers keep a fused interior step within 13 arrays; the
+    # field solve of init_grid holds no gradient through its transforms
     spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
     state = init_grid(spec, packet())
+    assert _peak_arrays(lambda: init_grid(spec, packet())) <= 9.5
     ws = _Workspace(spec)
     history = deque(maxlen=3)
     diagnostics(state, spec, ws=ws, a2_history=history)
@@ -725,6 +747,24 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
     assert (spec2.n, spec2.box, spec2.dt) == (spec.n, spec.box, spec.dt)
     assert spec2.particle.z == ELECTRON.z
     assert spec2.coupling == spec.coupling
+
+
+def test_snapshot_roundtrip_keeps_signed_zeros(tmp_path):
+    # every bit comes back, the sign of a -0.0 real or imaginary part too,
+    # in C-contiguous writable arrays of the package's dtypes
+    spec = small_spec()
+    state = init_grid(spec, packet())
+    state.psi.imag[::2] = -0.0
+    state.psi.real[:, ::3] = -0.0
+    state.a_field[1, :, :, ::2] = -0.0
+    path = tmp_path / "state.snap"
+    save_snapshot(state, spec, path)
+    loaded, _ = load_snapshot(path)
+    assert np.array_equal(loaded.psi.view(np.uint64), state.psi.view(np.uint64))
+    assert np.array_equal(loaded.a_field.view(np.uint64), state.a_field.view(np.uint64))
+    for got, dtype in ((loaded.psi, np.complex128), (loaded.a_field, np.float64)):
+        assert got.dtype == dtype
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 def test_snapshot_header_schema(tmp_path):

@@ -1,5 +1,6 @@
 """Every top-level function and class of the package is reached by the package,
-and every name a package module imports is used there."""
+every method of a package class is named in it, and every name a package
+module imports is used there."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,19 @@ def test_every_import_is_used():
                            if (name := (alias.asname or alias.name).partition(".")[0])
                            not in named]
     assert unused == []
+
+
+def test_every_method_is_named_in_the_package():
+    # a non-dunder method or property of a package class is named (as a Name
+    # or an Attribute) somewhere in the package, its own module included
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    unnamed = sorted(f"{module}.{cls.name}.{node.name}"
+                     for module, tree in TREES.items()
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (node.name.startswith("__") and node.name.endswith("__"))
+                     and node.name not in named)
+    assert unnamed == []

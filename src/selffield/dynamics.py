@@ -5,22 +5,26 @@ vector potential slaved quasi-statically to its own probability current:
 A_hat(k) = j_perp_hat(k) / (eps0 c^2 k^2), k != 0.  One step is a symmetric
 Strang split: exact spectral half kinetic step, full step of the
 A-dependent factor with the field refreshed from the midpoint psi, half
-kinetic step again.  The A^2 term is a pure phase; the mixed A.grad term is
-applied through a short unitarized polynomial of the anti-Hermitian
-generator (A.grad + div(A .)), keeping per-step norm drift at roundoff.
-A comes from one field solve of real-space psi, _Workspace.field_hat (its
-half spectrum, with the current) or _Workspace.field (A itself), which
-init_grid, solve_vector_potential, the step and the records all call; the
-real current and field pass through the half spectrum (rfftn/irfftn).
-Every first derivative is _Workspace.deriv: a 1-D transform along its
-axis, i k_grad, and the 1-D inverse, two thirds of a 3-D transform pair.
+kinetic step again.  The mixed A.grad term is applied through a short
+unitarized polynomial of the anti-Hermitian generator (A.grad + div(A .)),
+keeping per-step norm drift at roundoff, and the A^2 term after it as a
+pure phase.  A comes from one field solve of real-space psi,
+_Workspace.field_hat (its half spectrum, from the current) or
+_Workspace.field (A itself), which init_grid, solve_vector_potential, the
+step and the records all call; the real current and field pass through the
+half spectrum (rfftn/irfftn).  The step keeps the grad psi_mid of its field
+solve for the first application of the mixed generator, which then
+differentiates only A_i psi_mid.  Every first derivative is
+_Workspace.deriv: a 1-D transform along its axis, i k_grad, and the 1-D
+inverse, two thirds of a 3-D transform pair.
 
 The per-axis derivative chains are independent, so they run as tasks of one
 module-level thread pool (_Workspace.map, sized like the 3-D transforms by
-_fft_workers); numpy and pocketfft release the GIL.  grad, the mixed term,
-the A-dependent part of H psi and dj/dt each run one task per axis, with
-single-threaded 1-D transforms inside.  A task never allocates an array: it
-writes only into buffers the calling thread allocated (one pair buffer per
+_fft_workers); numpy and pocketfft release the GIL.  grad, the mixed term
+and dj/dt each run one task per axis, with single-threaded 1-D transforms
+inside; the A-dependent part of H psi runs its axes in turn through one
+buffer, which keeps a record's memory peak low.  A task never allocates an
+array: it writes only into buffers the calling thread allocated (two per
 axis in the mixed term).  The calling thread sums the task results in axis
 order 0, 1, 2 as they land, so psi, A and every record are bit-identical at
 any thread count.
@@ -31,14 +35,16 @@ exact for a Strang split and saves one inverse and one forward transform of
 psi per step; with coupling off, psi then stays in Fourier space from one
 record to the next.  At every record the chain restarts from real-space
 psi, so a run resumed from a snapshot taken at a record is bit-identical to
-the uninterrupted run.
+the uninterrupted run; the step after a record starts from the spectrum of
+psi that the record computed.
 
 Monitored invariants: norm, the conserved energy in the form
 kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
 correction), total momentum (matter + field), and a power-balance residual
 standing in for the Poynting surface flux, which vanishes identically on a
 torus.  In n^3-equivalents (a 1-D pass is 1/3, a half-size real transform
-1/2) a fused coupled step costs 15, a record 14 and init_grid 5.
+1/2) a fused coupled step costs 13, the first step after a record 13 too, a
+record 14 and init_grid 5.
 """
 
 from __future__ import annotations
@@ -139,6 +145,16 @@ def _axis_arrays(values):
             values.reshape(1, 1, n))
 
 
+def _cis(theta):
+    """cos(theta) + i sin(theta) of a real array, written into the real and
+    imaginary views of one complex buffer: exp(1j theta) without a complex
+    exponential."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -201,8 +217,9 @@ class _Workspace:
 
     @functools.cached_property
     def half_kin(self) -> np.ndarray:
-        """exp(-i hbar k^2 dt / 4M), the half-step kinetic factor."""
-        return np.exp(-1j * self.kin_omega * (0.5 * self.spec.dt))
+        """exp(-i hbar k^2 dt / 4M), the half-step kinetic factor (0 - x,
+        not -x, keeps the +0.0 sine at k = 0 that exp(-1j x) gives)."""
+        return _cis(0.0 - self.kin_omega * (0.5 * self.spec.dt))
 
     # fft helpers -------------------------------------------------------
     def fftn(self, a, overwrite=False):
@@ -266,21 +283,15 @@ class _Workspace:
         list(self.map(axis_task, range(3)))
         return out
 
-    def current(self, psi, grad, a_field=None):
-        """Probability current of the charge: (q hbar / M) Im(psi* grad psi),
-        with the diamagnetic -(q^2/M) |psi|^2 A piece when the spec includes
-        it and a_field is given; one component at a time."""
-        mass = self.spec.particle.mass
+    def current(self, psi, grad):
+        """Canonical probability current of the charge,
+        (q hbar / M) Im(psi* grad psi), one component at a time."""
         conj_psi = np.conj(psi)
         j = np.empty(grad.shape, dtype=float)
         for i, g in enumerate(grad):
             j[i] = np.imag(conj_psi * g)
         del conj_psi
-        j *= self.charge * CONST.hbar / mass
-        if self.spec.include_diagonal_na and a_field is not None:
-            density = (self.charge**2 / mass) * np.abs(psi) ** 2
-            for j_i, a_i in zip(j, a_field):
-                j_i -= density * a_i
+        j *= self.charge * CONST.hbar / self.spec.particle.mass
         return j
 
     def _wavenumbers(self, vec_hat):
@@ -292,37 +303,40 @@ class _Workspace:
         return (kx, ky, kz[..., :m]), self.inv_k2[..., :m]
 
     def project_transverse(self, vec_hat):
-        """Remove the longitudinal part in one pass: v - k (k.v)/k^2, k = 0
-        untouched.  Serves full and half (rfftn) spectra."""
+        """Remove the longitudinal part in one pass, in place: v - k (k.v)/k^2,
+        k = 0 untouched.  Serves full and half (rfftn) spectra."""
         k_axes, inv_k2 = self._wavenumbers(vec_hat)
         k_dot = k_axes[0] * vec_hat[0]
         k_dot += k_axes[1] * vec_hat[1]
         k_dot += k_axes[2] * vec_hat[2]
         k_dot *= inv_k2
-        out = np.empty_like(vec_hat)
-        for i, k in enumerate(k_axes):
-            np.multiply(k, k_dot, out=out[i])
-            np.subtract(vec_hat[i], out[i], out=out[i])
-        return out
+        for v, k in zip(vec_hat, k_axes):
+            v -= k * k_dot
+        return vec_hat
 
     def vector_potential_hat(self, j_hat):
-        """A_hat = P_perp j_hat / (eps0 c^2 k^2); the k = 0 mode is zero."""
+        """A_hat = P_perp j_hat / (eps0 c^2 k^2), in j_hat's memory; the
+        k = 0 mode is zero."""
         a_hat = self.project_transverse(j_hat)
         a_hat *= self._wavenumbers(j_hat)[1] / (CONST.eps0 * CONST.c**2)
         return a_hat
 
-    def field_hat(self, psi, grad, a_prev=None):
-        """The field solve of real-space psi with gradient grad: (j, a_hat),
-        the source current (with the diagonal nA piece when the spec has it
-        and a_prev is given) and the rfftn half spectrum of the field it
-        slaves."""
-        j = self.current(psi, grad, a_field=a_prev)
-        del grad    # the transforms below need not hold a gradient too
-        return j, self.vector_potential_hat(self.rfftn(j))
+    def field_hat(self, psi, j, a_prev=None):
+        """The field solve of real-space psi with canonical current j: the
+        rfftn half spectrum of the field that the source current slaves.  j
+        becomes the source current in place: the diagonal nA piece
+        -(q^2/M) |psi|^2 a_prev is subtracted when the spec includes it and
+        a_prev is given."""
+        if self.spec.include_diagonal_na and a_prev is not None:
+            density = (self.charge**2 / self.spec.particle.mass) * np.abs(psi) ** 2
+            for j_i, a_i in zip(j, a_prev):
+                j_i -= density * a_i
+        return self.vector_potential_hat(self.rfftn(j))
 
     def field(self, psi, a_prev=None):
         """The slaved field A of real-space psi, (3, n, n, n)."""
-        return self.irfftn(self.field_hat(psi, self.grad(psi), a_prev)[1])
+        return self.irfftn(self.field_hat(psi, self.current(psi, self.grad(psi)),
+                                          a_prev))
 
 
 def _packet_on_grid(ws: _Workspace, packet: GaussianPacket):
@@ -331,7 +345,7 @@ def _packet_on_grid(ws: _Workspace, packet: GaussianPacket):
     r2 = np.sum(rel**2, axis=0)
     envelope = np.exp(-r2 / (8.0 * packet.b**2))
     phase = np.tensordot(packet.momentum / CONST.hbar, rel, axes=(0, 0))
-    psi = envelope * np.exp(1j * phase)
+    psi = envelope * _cis(phase)
     norm = math.sqrt(ws.integral(np.abs(psi) ** 2))
     return psi / norm
 
@@ -395,35 +409,42 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _apply_mixed(ws: _Workspace, psi, a_field, tau):
+def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
     """Propagate for time tau under the mixed term -(q/2M)(A.p + p.A).
 
     The exact exponential is exp(Y) with the anti-Hermitian generator
     Y = (tau q / 2M)(A.grad + div(A .)); it is applied as the 2nd-order
     polynomial I + Y + Y^2/2, unitary to O(|Y|^3).  With |Y| ~ 1e-4 per
     step this keeps norm drift far below 1e-12.
+
+    grad is grad psi, which the step's field solve formed, so the first
+    application of Y transforms only A_i psi per axis; grad's memory then
+    serves the second application, which transforms phi and A_i phi.
     """
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
-    pairs = np.empty((3, 2) + psi.shape, dtype=complex)
+    div = np.empty_like(grad)
 
     def apply_y(phi):
-        # per axis, a task: [phi, A_i phi] -> [A_i d_i phi, d_i(A_i phi)]
+        # per axis, a task: grad[i] <- A_i d_i phi, div[i] <- d_i(A_i phi);
+        # phi is None on the first application, where grad[i] is d_i psi
         def axis_task(axis):
-            pair, a_i = pairs[axis], a_field[axis]
-            pair[0] = phi
-            np.multiply(a_i, phi, out=pair[1])
-            ws.deriv(pair, axis)
-            pair[0] *= a_i
-            return pair
+            a_i = a_field[axis]
+            np.multiply(a_i, psi if phi is None else phi, out=div[axis])
+            ws.deriv(div[axis], axis)
+            if phi is not None:
+                grad[axis] = phi
+                ws.deriv(grad[axis], axis)
+            grad[axis] *= a_i
+            return axis
 
-        acc = np.zeros_like(phi)
-        for d in ws.map(axis_task, range(3)):
-            acc += d[0]
-            acc += d[1]
+        acc = np.zeros_like(psi)
+        for axis in ws.map(axis_task, range(3)):
+            acc += grad[axis]
+            acc += div[axis]
         acc *= coeff
         return acc
 
-    y1 = apply_y(psi)
+    y1 = apply_y(None)
     y2 = apply_y(y1)
     y1 += psi
     y2 *= 0.5
@@ -431,25 +452,30 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau):
     return y1
 
 
-def _potential_factor(ws: _Workspace, psi, a_field, tau, a2):
-    """Evolve for time tau under the A-dependent factor: A^2 phase, then the
-    mixed term.  a2 is sum_i A_i^2 of a_field.
+def _potential_factor(ws: _Workspace, psi, a_field, tau, a2, grad):
+    """Evolve for time tau under the A-dependent factor: the mixed term
+    (_apply_mixed, which takes over grad, the gradient of psi), then the
+    A^2 phase.  a2 is sum_i A_i^2 of a_field.
 
     Raises TimestepTooLargeError when the bound
     ||Y|| <= 2 |tau q / 2M| max|A| |k_grad|_max on the mixed generator
     exceeds MIXED_GENERATOR_LIMIT (or is not finite), where the polynomial
     applied by _apply_mixed is no longer unitary to roundoff.
     """
-    y_bound = abs(tau * ws.charge / ws.spec.particle.mass) * math.sqrt(
+    mass = ws.spec.particle.mass
+    y_bound = abs(tau * ws.charge / mass) * math.sqrt(
         float(a2.max())) * ws.k_grad_max
     if not y_bound <= MIXED_GENERATOR_LIMIT:
         raise TimestepTooLargeError(
             f"dt = {tau:.3e} s: mixed-term generator bound {y_bound:.3e} "
             f"exceeds {MIXED_GENERATOR_LIMIT:.0e}")
-    phase = np.exp(-1j * tau * ws.charge**2 * a2 / (
-        2.0 * ws.spec.particle.mass * CONST.hbar))
-    phase *= psi
-    return _apply_mixed(ws, phase, a_field, tau)
+    psi = _apply_mixed(ws, psi, a_field, tau, grad)
+    # exp(-i tau q^2 A^2 / 2M hbar), its angle formed by the operations (and
+    # so to the bit) of Im(-1j * tau * q**2 * a2 / (2 M hbar)) in numpy
+    theta = (-tau * ws.charge**2) * a2
+    theta *= 1.0 / (2.0 * mass * CONST.hbar)
+    psi *= _cis(theta)
+    return psi
 
 
 @dataclass
@@ -457,7 +483,8 @@ class _Fsal:
     """First-same-as-last hand-over between consecutive steps.
 
     psi_hat: the finished spectrum of the state the next step starts
-        from; None starts the step from state.psi.
+        from, handed over by the step before it or by the record of that
+        state; None starts the step from state.psi.
     close: finish the step in real space (a record or the run's end is
         due); otherwise the step hands its finished spectrum over in
         psi_hat and returns psi = None.
@@ -491,11 +518,14 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     psi_hat *= half_kin
     if spec.coupling:
         psi_mid = ws.ifftn(psi_hat, overwrite=True)
-        a_mid = ws.field(psi_mid, a_prev=state.a_field)
+        # grad psi_mid serves the current and the first mixed-term pass
+        grad = ws.grad(psi_mid)
+        a_mid = ws.irfftn(ws.field_hat(psi_mid, ws.current(psi_mid, grad),
+                                       a_prev=state.a_field))
         a2 = _dot(a_mid, a_mid)
         if a2_history is not None:
             a2_history.append(ws.integral(a2))
-        psi = _potential_factor(ws, psi_mid, a_mid, spec.dt, a2=a2)
+        psi = _potential_factor(ws, psi_mid, a_mid, spec.dt, a2, grad)
         psi_hat = ws.fftn(psi, overwrite=True)
     else:
         a_mid = state.a_field
@@ -530,7 +560,8 @@ class DiagnosticsRecord:
 def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
                 a2_history: deque | None = None,
                 prev_power: tuple[float, float, float] | None = None,
-                step_index: int = 0) -> DiagnosticsRecord:
+                step_index: int = 0, *,
+                fsal: _Fsal | None = None) -> DiagnosticsRecord:
     """Evaluate norm, conserved energy, momentum, and the flux residual.
 
     A comes from the step's field solve, field_hat, and the transverse
@@ -541,12 +572,15 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     needs no curl: for the slaved field eps0 c^2 int B^2 = int j.A exactly
     on the grid.  The d^2/dt^2 int A^2 correction uses the last three
     per-step values when a2_history is supplied, otherwise it is reported
-    as zero.
+    as zero.  With fsal, the spectrum of state.psi is handed to the next
+    step in fsal.psi_hat.
     """
     if ws is None:
         ws = _Workspace(spec)
     psi = state.psi
     psi_hat = ws.fftn(psi)
+    if fsal is not None:
+        fsal.psi_hat = psi_hat
     dv_k = ws.dv / spec.n**3
 
     norm = ws.integral(np.abs(psi) ** 2)
@@ -565,8 +599,9 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
     # slaved field and interaction energy, on the step's half-spectrum path
     grad = ws.grad(psi)
-    j_src, a_hat = ws.field_hat(psi, grad, a_prev=state.a_field)
-    j_can = ws.current(psi, grad) if spec.include_diagonal_na else j_src
+    j_can = ws.current(psi, grad)
+    j_src = j_can.copy() if spec.include_diagonal_na else j_can
+    a_hat = ws.field_hat(psi, j_src, a_prev=state.a_field)
     a_field = ws.irfftn(a_hat.copy())
     interaction = -0.5 * ws.integral(_dot(j_can, a_field))
     j_dot_a = ws.integral(_dot(j_src, a_field))
@@ -574,23 +609,25 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
     # E_perp from the instantaneous current derivative (no history needed):
     # dj_i/dt = (q/M) Re(conj(H psi) d_i psi - conj(psi) d_i(H psi)), one
-    # task per component, in the memory of d_i psi
+    # task per component, in the memory of d_i psi; conj(H psi) takes the
+    # memory of H psi, and each task conjugates it back (exactly)
     h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field, grad)
     del psi_hat, a_field
-    conj_h, conj_psi = np.conj(h_psi), np.conj(psi)
+    conj_h, conj_psi = np.conj(h_psi, out=h_psi), np.conj(psi)
+    del h_psi
     dj_dt = np.empty(grad.shape, dtype=float)
 
     def axis_task(axis):
         g = grad[axis]
         np.multiply(conj_h, g, out=g)
         dj_dt[axis] = np.real(g)
-        g[...] = h_psi
+        np.conj(conj_h, out=g)
         ws.deriv(g, axis)
         np.multiply(conj_psi, g, out=g)
         dj_dt[axis] -= np.real(g)
 
     list(ws.map(axis_task, range(3)))
-    del grad, h_psi, conj_h, conj_psi
+    del grad, conj_h, conj_psi
     dj_dt *= ws.charge / spec.particle.mass
     e_hat = ws.vector_potential_hat(ws.rfftn(dj_dt))
     del dj_dt
@@ -639,23 +676,20 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
     grad psi in real space and psi_hat the spectrum of psi."""
-    div_a_psi = np.empty(grad.shape, dtype=complex)
-
-    def axis_task(axis):
-        np.multiply(a_field[axis], psi, out=div_a_psi[axis])
-        return ws.deriv(div_a_psi[axis], axis)
-
-    derivs = ws.map(axis_task, range(3))
     mixed = _dot(a_field, grad)
-    for d in derivs:
-        mixed += d
-    del div_a_psi, derivs
+    buf = np.empty_like(psi)
+    for axis in range(3):
+        np.multiply(a_field[axis], psi, out=buf)
+        mixed += ws.deriv(buf, axis)
+    del buf
     h_psi = ws.ifftn(ws.kin_omega * CONST.hbar * psi_hat, overwrite=True)
-    h_psi += (1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass)) * mixed
-    del mixed
+    # scaled in place, in the operand order of (1j q hbar / 2M) * mixed
+    np.multiply(1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass), mixed,
+                out=mixed)
+    h_psi += mixed
     diamagnetic = _dot(a_field, a_field)
     diamagnetic *= ws.charge**2 / (2.0 * ws.spec.particle.mass)
-    h_psi += diamagnetic * psi
+    h_psi += np.multiply(diamagnetic, psi, out=mixed)
     return h_psi
 
 
@@ -715,7 +749,7 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
                           records[-1].current_dot_e) if records else None
             records.append(_finite(diagnostics(
                 current, spec, ws=ws, a2_history=a2_history,
-                prev_power=prev_power, step_index=k)))
+                prev_power=prev_power, step_index=k, fsal=fsal)))
     return Trajectory(records=records, final_state=current)
 
 

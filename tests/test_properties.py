@@ -7,6 +7,8 @@ masses, cloud radii, boxes and time steps drawn from the whole float line
 successful run prints strict JSON or CSV whose numbers are all finite.
 The evolve and config cases run in a fresh temporary directory, keep every
 output path inside it, and stay at n <= 48 and at most 3 steps.
+
+Also: the dynamics' phase helper _cis agrees with the complex exponential.
 """
 
 import contextlib
@@ -18,12 +20,14 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from selffield.cli import CONFIG_KEYS, CONFIG_SWITCHES, main  # noqa: E402
+from selffield.dynamics import _cis  # noqa: E402
 from selffield.scales import CONST, PARTICLE_PRESETS  # noqa: E402
 
 FLOATS = st.floats()
@@ -240,3 +244,19 @@ def test_config_exit_code_contract(doc):
         for key, value in doc.items():
             assert (type(value) is bool) == (key in CONFIG_SWITCHES), (key, value)
             assert isinstance(value, (bool, int, float, str)), (key, value)
+
+
+# angles of a step's A^2 phase and kinetic factor, with both zeros and the
+# subnormals beside them
+ANGLES = (st.floats(-1e3, 1e3)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072004e-308]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(theta=st.lists(ANGLES, min_size=1, max_size=100))
+@example(theta=[0.0, -0.0, 5e-324, -5e-324, 1e3, -1e3, math.pi])
+def test_cis_matches_complex_exponential(theta):
+    theta = np.array(theta)
+    got, want = _cis(theta), np.exp(1j * theta)
+    np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+    np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)

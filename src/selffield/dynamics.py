@@ -18,16 +18,22 @@ differentiates only A_i psi_mid.  Every first derivative is
 _Workspace.deriv: a 1-D transform along its axis, i k_grad, and the 1-D
 inverse, two thirds of a 3-D transform pair.
 
-The per-axis derivative chains are independent, so they run as tasks of one
-module-level thread pool (_Workspace.map, sized like the 3-D transforms by
-_fft_workers); numpy and pocketfft release the GIL.  grad, the mixed term
-and dj/dt each run one task per axis, with single-threaded 1-D transforms
-inside; the A-dependent part of H psi runs its axes in turn through one
-buffer, which keeps a record's memory peak low.  A task never allocates an
-array: it writes only into buffers the calling thread allocated (two per
-axis in the mixed term).  The calling thread sums the task results in axis
-order 0, 1, 2 as they land, so psi, A and every record are bit-identical at
-any thread count.
+The work of a step and a record runs as tasks of one module-level thread
+pool (_Workspace.map, sized like the 3-D transforms by _fft_workers); numpy
+and pocketfft release the GIL.  Pointwise passes run in slabs, one slice of
+the leading grid axis per worker (_Workspace.slabs): the half kinetic
+factors, the current, the transverse projection and the field kernel, the
+axis-order dot products such as A.A, the mixed term's per-pass sums and its
+psi + y1 + y2/2 combination, the A^2 phase, and the pointwise terms of
+H psi.  The y and z derivatives of grad, the mixed term and H psi run in
+the same slabs, with single-threaded 1-D transforms; their x derivatives
+run in slabs across y, which keep each 1-D transform whole.  dj/dt runs
+one task per axis.  H psi adds its divergence one axis at a time through
+one buffer, which keeps a record's memory peak low.  A task never
+allocates an array: it writes only into buffers the calling thread
+allocated.  Every element sees the operations of one whole-array pass in
+the same order, and sums over axes run in axis order 0, 1, 2, so psi, A
+and every record are bit-identical at any thread count.
 
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
@@ -145,11 +151,12 @@ def _axis_arrays(values):
             values.reshape(1, 1, n))
 
 
-def _cis(theta):
+def _cis(theta, out=None):
     """cos(theta) + i sin(theta) of a real array, written into the real and
-    imaginary views of one complex buffer: exp(1j theta) without a complex
-    exponential."""
-    out = np.empty(theta.shape, dtype=complex)
+    imaginary views of one complex buffer (out, else a new one): exp(1j
+    theta) without a complex exponential."""
+    if out is None:
+        out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -182,14 +189,13 @@ class _Workspace:
         self.dv = dx**3
         k1 = 2.0 * math.pi * sfft.fftfreq(n, d=dx)
         self.k_axes = _axis_arrays(k1)
-        kx, ky, kz = self.k_axes
-        self.k2 = kx**2 + ky**2 + kz**2
+        k2 = self.k2
         # Field kernel excludes k = 0 (no uniform gauge field on the torus)
         # and the Nyquist planes, where the grid projector cannot preserve
         # the Hermitian pairing of a real field.
-        self.inv_k2 = np.zeros_like(self.k2)
-        nz = self.k2 > 0.0
-        self.inv_k2[nz] = 1.0 / self.k2[nz]
+        self.inv_k2 = np.zeros_like(k2)
+        nz = k2 > 0.0
+        self.inv_k2[nz] = 1.0 / k2[nz]
         nyq = n // 2
         for axis in range(3):
             idx = [slice(None)] * 3
@@ -206,9 +212,15 @@ class _Workspace:
         self.x1 = np.arange(n) * dx
         self.centre = 0.5 * spec.box
         mass = spec.particle.mass
-        self.kin_omega = CONST.hbar * self.k2 / (2.0 * mass)  # rad/s per mode
+        self.kin_omega = CONST.hbar * k2 / (2.0 * mass)  # rad/s per mode
         self.charge = spec.particle.charge
         self.workers = _fft_workers()
+
+    @property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the full grid, formed on demand (no step reads it)."""
+        kx, ky, kz = self.k_axes
+        return kx**2 + ky**2 + kz**2
 
     @property
     def r(self) -> np.ndarray:
@@ -220,6 +232,11 @@ class _Workspace:
         """exp(-i hbar k^2 dt / 4M), the half-step kinetic factor (0 - x,
         not -x, keeps the +0.0 sine at k = 0 that exp(-1j x) gives)."""
         return _cis(0.0 - self.kin_omega * (0.5 * self.spec.dt))
+
+    @functools.cached_property
+    def field_kernel(self) -> np.ndarray:
+        """1/(eps0 c^2 k^2) on the rfftn half spectrum, contiguous."""
+        return self.inv_k2[..., :self.spec.n // 2 + 1] / (CONST.eps0 * CONST.c**2)
 
     # fft helpers -------------------------------------------------------
     def fftn(self, a, overwrite=False):
@@ -263,35 +280,89 @@ class _Workspace:
                    for item in items]
         return (future.result() for future in futures)
 
+    def slabs(self, fn):
+        """fn(sl) for one slice sl of the leading grid axis per worker, as
+        tasks of the module's thread pool; fn(slice(None)) inline with one
+        worker.  fn writes only into its rows of arrays the calling thread
+        allocated, so every element sees the operations of one whole-array
+        pass."""
+        if self.workers == 1:
+            fn(slice(None))
+            return
+        n, k = self.spec.n, min(self.workers, self.spec.n)
+        list(self.map(fn, [slice(n * i // k, n * (i + 1) // k) for i in range(k)]))
+
+    def imul(self, x, y):
+        """x *= y in place, in slabs; y is a grid array and x one or a
+        stack of them."""
+        def slab(sl):
+            rows = (..., sl, slice(None), slice(None))
+            np.multiply(x[rows], y[rows], out=x[rows])
+
+        self.slabs(slab)
+        return x
+
+    def dot(self, u, v):
+        """sum_i u_i v_i of two 3-component stacks, summed in axis order, in
+        slabs."""
+        out = np.empty(u.shape[1:], dtype=np.result_type(u, v))
+        prod = np.empty_like(out)
+
+        def slab(sl):
+            o, p = out[sl], prod[sl]
+            np.multiply(u[0, sl], v[0, sl], out=o)
+            for i in (1, 2):
+                o += np.multiply(u[i, sl], v[i, sl], out=p)
+
+        self.slabs(slab)
+        return out
+
     # physics building blocks ------------------------------------------
     def deriv(self, f, axis):
-        """Spectral d/dx_axis of a complex field or a stack of them, in place
-        in f: a 1-D transform along axis, i k_grad, the 1-D inverse.
-        Single-threaded: it runs inside pool tasks, one per axis."""
+        """Spectral d/dx_axis of a complex field, a stack of them or a slab
+        of one, in place in f: a 1-D transform along axis, i k_grad, the
+        1-D inverse.  Single-threaded: it runs inside pool tasks.  Along
+        axis 0, i k_grad multiplies one plane of that axis at a time: a
+        plane is contiguous even in a slab across axis 1, where a strided
+        multiply would make numpy allocate iteration buffers."""
         f_hat = sfft.fft(f, axis=axis - 3, workers=1, overwrite_x=True)
-        f_hat *= self.ik_grad_axes[axis]
+        if axis == 0:
+            for i, ik in enumerate(self.ik_grad_axes[0].ravel()):
+                plane = f_hat[..., i, :, :]
+                np.multiply(plane, ik, out=plane)
+        else:
+            f_hat *= self.ik_grad_axes[axis]
         return sfft.ifft(f_hat, axis=axis - 3, workers=1, overwrite_x=True)
 
     def grad(self, f):
-        """Spectral gradient of a complex field, a (3, n, n, n) stack."""
+        """Spectral gradient of a complex field, a (3, n, n, n) stack: the y
+        and z derivatives in slabs of rows, the x one in slabs across y."""
         out = np.empty((3,) + f.shape, dtype=complex)
 
-        def axis_task(axis):
-            out[axis] = f
-            self.deriv(out[axis], axis)
+        def rows_yz(sl):
+            for axis in range(3):
+                np.copyto(out[axis, sl], f[sl])
+                if axis:
+                    self.deriv(out[axis, sl], axis)
 
-        list(self.map(axis_task, range(3)))
+        self.slabs(rows_yz)
+        self.slabs(lambda sl: self.deriv(out[0][:, sl], 0))
         return out
 
     def current(self, psi, grad):
         """Canonical probability current of the charge,
-        (q hbar / M) Im(psi* grad psi), one component at a time."""
-        conj_psi = np.conj(psi)
+        (q hbar / M) Im(psi* grad psi), in slabs."""
+        scale = self.charge * CONST.hbar / self.spec.particle.mass
+        conj_psi, prod = np.empty_like(psi), np.empty_like(psi)
         j = np.empty(grad.shape, dtype=float)
-        for i, g in enumerate(grad):
-            j[i] = np.imag(conj_psi * g)
-        del conj_psi
-        j *= self.charge * CONST.hbar / self.spec.particle.mass
+
+        def slab(sl):
+            c, p, j_rows = np.conj(psi[sl], out=conj_psi[sl]), prod[sl], j[:, sl]
+            for i in range(3):
+                j_rows[i] = np.multiply(c, grad[i, sl], out=p).imag
+            np.multiply(j_rows, scale, out=j_rows)
+
+        self.slabs(slab)
         return j
 
     def _wavenumbers(self, vec_hat):
@@ -304,22 +375,31 @@ class _Workspace:
 
     def project_transverse(self, vec_hat):
         """Remove the longitudinal part in one pass, in place: v - k (k.v)/k^2,
-        k = 0 untouched.  Serves full and half (rfftn) spectra."""
-        k_axes, inv_k2 = self._wavenumbers(vec_hat)
-        k_dot = k_axes[0] * vec_hat[0]
-        k_dot += k_axes[1] * vec_hat[1]
-        k_dot += k_axes[2] * vec_hat[2]
-        k_dot *= inv_k2
-        for v, k in zip(vec_hat, k_axes):
-            v -= k * k_dot
+        k = 0 untouched, in slabs.  Serves full and half (rfftn) spectra."""
+        (kx, ky, kz), inv_k2 = self._wavenumbers(vec_hat)
+        k_dot, prod = np.empty_like(vec_hat[0]), np.empty_like(vec_hat[0])
+
+        def slab(sl):
+            kd, p, v = k_dot[sl], prod[sl], vec_hat[:, sl]
+            k_rows = (kx[sl], ky, kz)
+            np.multiply(k_rows[0], v[0], out=kd)
+            kd += np.multiply(k_rows[1], v[1], out=p)
+            kd += np.multiply(k_rows[2], v[2], out=p)
+            kd *= inv_k2[sl]
+            for v_i, k in zip(v, k_rows):
+                v_i -= np.multiply(k, kd, out=p)
+
+        self.slabs(slab)
         return vec_hat
 
     def vector_potential_hat(self, j_hat):
         """A_hat = P_perp j_hat / (eps0 c^2 k^2), in j_hat's memory; the
         k = 0 mode is zero."""
         a_hat = self.project_transverse(j_hat)
-        a_hat *= self._wavenumbers(j_hat)[1] / (CONST.eps0 * CONST.c**2)
-        return a_hat
+        kernel = self.field_kernel
+        if j_hat.shape[-1] != kernel.shape[-1]:   # a full spectrum
+            kernel = self.inv_k2 / (CONST.eps0 * CONST.c**2)
+        return self.imul(a_hat, kernel)
 
     def field_hat(self, psi, j, a_prev=None):
         """The field solve of real-space psi with canonical current j: the
@@ -404,11 +484,6 @@ def _check_timestep(spec: GridSpec):
             f"exceeds {0.8 * math.pi:.3f}")
 
 
-def _dot(u, v):
-    """sum_i u_i v_i of two 3-component stacks, summed in axis order."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
     """Propagate for time tau under the mixed term -(q/2M)(A.p + p.A).
 
@@ -424,38 +499,71 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
     div = np.empty_like(grad)
 
-    def apply_y(phi):
-        # per axis, a task: grad[i] <- A_i d_i phi, div[i] <- d_i(A_i phi);
-        # phi is None on the first application, where grad[i] is d_i psi
-        def axis_task(axis):
-            a_i = a_field[axis]
-            np.multiply(a_i, psi if phi is None else phi, out=div[axis])
-            ws.deriv(div[axis], axis)
-            if phi is not None:
-                grad[axis] = phi
-                ws.deriv(grad[axis], axis)
-            grad[axis] *= a_i
-            return axis
+    def apply_y(phi, finish):
+        # grad[i] <- A_i d_i phi, div[i] <- d_i(A_i phi) (phi is None on the
+        # first application, where grad[i] is d_i psi), then finish(rows).
+        # Slabs of rows hold the pointwise work and the y and z derivatives;
+        # the x derivatives run in slabs across y, which keep each of their
+        # 1-D transforms whole
+        src = psi if phi is None else phi
 
-        acc = np.zeros_like(psi)
-        for axis in ws.map(axis_task, range(3)):
-            acc += grad[axis]
-            acc += div[axis]
+        def rows_yz(sl):
+            for axis in range(3):
+                a_i, g = a_field[axis, sl], grad[axis, sl]
+                d = np.multiply(a_i, src[sl], out=div[axis, sl])
+                if phi is not None:
+                    np.copyto(g, phi[sl])
+                if axis:
+                    ws.deriv(d, axis)
+                    if phi is not None:
+                        ws.deriv(g, axis)
+                    g *= a_i
+
+        def cols_x(sl):
+            ws.deriv(div[0][:, sl], 0)
+            if phi is not None:
+                ws.deriv(grad[0][:, sl], 0)
+
+        def rows_finish(sl):
+            g = grad[0, sl]
+            g *= a_field[0, sl]
+            finish(sl)
+
+        for fn in (rows_yz, cols_x, rows_finish):
+            ws.slabs(fn)
+
+    def y_rows(y, sl):
+        # rows sl of Y phi: coeff times the sum of grad[i] + div[i] in axis
+        # order, from 0 + grad[0] as a zeroed accumulator starts it
+        acc = np.add(0.0, grad[0, sl], out=y[sl])
+        acc += div[0, sl]
+        for axis in (1, 2):
+            acc += grad[axis, sl]
+            acc += div[axis, sl]
         acc *= coeff
         return acc
 
-    y1 = apply_y(None)
-    y2 = apply_y(y1)
-    y1 += psi
-    y2 *= 0.5
-    y1 += y2
+    y1 = np.empty_like(psi)
+    apply_y(None, lambda sl: y_rows(y1, sl))
+
+    def combine(sl):
+        # psi + y1 + y2 / 2, in the order (y1 + psi) + 0.5 y2; the rows of
+        # y2 = Y y1 take the place of their rows of grad[0], summed
+        half = y_rows(grad[0], sl)
+        out = y1[sl]
+        out += psi[sl]
+        half *= 0.5
+        out += half
+
+    apply_y(y1, combine)
     return y1
 
 
 def _potential_factor(ws: _Workspace, psi, a_field, tau, a2, grad):
     """Evolve for time tau under the A-dependent factor: the mixed term
     (_apply_mixed, which takes over grad, the gradient of psi), then the
-    A^2 phase.  a2 is sum_i A_i^2 of a_field.
+    A^2 phase.  a2 is sum_i A_i^2 of a_field; the phase angle overwrites it
+    and the phase factor takes grad's memory.
 
     Raises TimestepTooLargeError when the bound
     ||Y|| <= 2 |tau q / 2M| max|A| |k_grad|_max on the mixed generator
@@ -472,9 +580,14 @@ def _potential_factor(ws: _Workspace, psi, a_field, tau, a2, grad):
     psi = _apply_mixed(ws, psi, a_field, tau, grad)
     # exp(-i tau q^2 A^2 / 2M hbar), its angle formed by the operations (and
     # so to the bit) of Im(-1j * tau * q**2 * a2 / (2 M hbar)) in numpy
-    theta = (-tau * ws.charge**2) * a2
-    theta *= 1.0 / (2.0 * mass * CONST.hbar)
-    psi *= _cis(theta)
+    angle, scale = -tau * ws.charge**2, 1.0 / (2.0 * mass * CONST.hbar)
+
+    def slab(sl):
+        theta = np.multiply(angle, a2[sl], out=a2[sl])
+        theta *= scale
+        np.multiply(psi[sl], _cis(theta, out=grad[0, sl]), out=psi[sl])
+
+    ws.slabs(slab)
     return psi
 
 
@@ -515,14 +628,14 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         psi_hat, fsal.psi_hat = fsal.psi_hat, None
     if psi_hat is None:
         psi_hat = ws.fftn(state.psi)
-    psi_hat *= half_kin
+    ws.imul(psi_hat, half_kin)
     if spec.coupling:
         psi_mid = ws.ifftn(psi_hat, overwrite=True)
         # grad psi_mid serves the current and the first mixed-term pass
         grad = ws.grad(psi_mid)
         a_mid = ws.irfftn(ws.field_hat(psi_mid, ws.current(psi_mid, grad),
                                        a_prev=state.a_field))
-        a2 = _dot(a_mid, a_mid)
+        a2 = ws.dot(a_mid, a_mid)
         if a2_history is not None:
             a2_history.append(ws.integral(a2))
         psi = _potential_factor(ws, psi_mid, a_mid, spec.dt, a2, grad)
@@ -531,7 +644,7 @@ def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         a_mid = state.a_field
         if a2_history is not None:
             a2_history.append(0.0)
-    psi_hat *= half_kin
+    ws.imul(psi_hat, half_kin)
     t = state.t + spec.dt
     if fsal is not None and not fsal.close:
         fsal.psi_hat = psi_hat
@@ -603,8 +716,8 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     j_src = j_can.copy() if spec.include_diagonal_na else j_can
     a_hat = ws.field_hat(psi, j_src, a_prev=state.a_field)
     a_field = ws.irfftn(a_hat.copy())
-    interaction = -0.5 * ws.integral(_dot(j_can, a_field))
-    j_dot_a = ws.integral(_dot(j_src, a_field))
+    interaction = -0.5 * ws.integral(ws.dot(j_can, a_field))
+    j_dot_a = ws.integral(ws.dot(j_src, a_field))
     del j_src
 
     # E_perp from the instantaneous current derivative (no history needed):
@@ -657,7 +770,7 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     # power balance: d(field energy)/dt + int j.E should vanish.  Slaved A has
     # k^2 |a_hat|^2 = Re(conj(a_hat).j_hat)/(eps0 c^2): eps0 c^2 int B^2 = int j.A
     field_energy = 0.5 * (efield_energy + j_dot_a)
-    current_dot_e = ws.integral(_dot(j_can, ws.irfftn(e_hat)))
+    current_dot_e = ws.integral(ws.dot(j_can, ws.irfftn(e_hat)))
     flux_residual = 0.0
     if prev_power is not None:
         t_prev, u_prev, jde_prev = prev_power
@@ -675,21 +788,58 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
 def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
-    grad psi in real space and psi_hat the spectrum of psi."""
-    mixed = _dot(a_field, grad)
+    grad psi in real space and psi_hat the spectrum of psi.
+
+    The divergence div(A psi) is added to A.grad psi one axis at a time
+    through one buffer, in slabs of rows; the x derivative runs in slabs
+    across y, which keep each of its 1-D transforms whole."""
+    mass = ws.spec.particle.mass
+    mixed = ws.dot(a_field, grad)
     buf = np.empty_like(psi)
-    for axis in range(3):
-        np.multiply(a_field[axis], psi, out=buf)
-        mixed += ws.deriv(buf, axis)
+
+    def rows_x(sl):
+        np.multiply(a_field[0, sl], psi[sl], out=buf[sl])
+
+    def cols_x(sl):
+        ws.deriv(buf[:, sl], 0)
+
+    def rows_yz(sl):
+        b, m = buf[sl], mixed[sl]
+        m += b
+        for axis in (1, 2):
+            m += ws.deriv(np.multiply(a_field[axis, sl], psi[sl], out=b), axis)
+
+    for fn in (rows_x, cols_x, rows_yz):
+        ws.slabs(fn)
     del buf
-    h_psi = ws.ifftn(ws.kin_omega * CONST.hbar * psi_hat, overwrite=True)
+    kinetic, h_hat = np.empty(psi.shape), np.empty_like(psi)
+
+    def kinetic_slab(sl):
+        k = np.multiply(ws.kin_omega[sl], CONST.hbar, out=kinetic[sl])
+        np.multiply(k, psi_hat[sl], out=h_hat[sl])
+
+    ws.slabs(kinetic_slab)
+    del kinetic
+    h_psi = ws.ifftn(h_hat, overwrite=True)
+    del h_hat
     # scaled in place, in the operand order of (1j q hbar / 2M) * mixed
-    np.multiply(1j * ws.charge * CONST.hbar / (2.0 * ws.spec.particle.mass), mixed,
-                out=mixed)
-    h_psi += mixed
-    diamagnetic = _dot(a_field, a_field)
-    diamagnetic *= ws.charge**2 / (2.0 * ws.spec.particle.mass)
-    h_psi += np.multiply(diamagnetic, psi, out=mixed)
+    c_mixed = 1j * ws.charge * CONST.hbar / (2.0 * mass)
+
+    def add_mixed(sl):
+        m, h = mixed[sl], h_psi[sl]
+        h += np.multiply(c_mixed, m, out=m)
+
+    ws.slabs(add_mixed)
+    del mixed
+    diamagnetic = ws.dot(a_field, a_field)
+    term = np.empty_like(psi)
+
+    def add_diamagnetic(sl):
+        d, h = diamagnetic[sl], h_psi[sl]
+        d *= ws.charge**2 / (2.0 * mass)
+        h += np.multiply(d, psi[sl], out=term[sl])
+
+    ws.slabs(add_diamagnetic)
     return h_psi
 
 
@@ -726,6 +876,9 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
     stays in Fourier space.  Every record restarts the chain from
     real-space psi, which makes a run resumed from a snapshot of a recorded
     state bit-identical to the uninterrupted run with the same stride.
+    Without diagonal nA a coupled step never reads the previous field, so
+    each step runs on a copy of the state without it, and the field is
+    freed while the next one is solved; the caller's state keeps its own.
     Deterministic: identical inputs produce bit-identical trajectories.
     Raises FloatingPointError, naming the field and the step, at the first
     record that is not finite.
@@ -736,13 +889,17 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
         raise ValueError("record_stride must be >= 1")
     _check_timestep(spec)
     ws = _Workspace(spec)
+    ws.field_kernel   # built before the first record's temporaries, which it would split
     a2_history: deque = deque(maxlen=3)
     records: list[DiagnosticsRecord] = []
     fsal = _Fsal()
+    drop_field = spec.coupling and not spec.include_diagonal_na
     current = state
     for k in range(n_steps + 1):
         if k:
             fsal.close = k % record_stride == 0 or k == n_steps
+            if drop_field:
+                current = dataclasses.replace(current, a_field=None)
             current = step(current, spec, ws=ws, a2_history=a2_history, fsal=fsal)
         if fsal.close:
             prev_power = (records[-1].t, records[-1].field_energy,

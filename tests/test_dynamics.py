@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from selffield import dynamics
 from selffield.errors import GridMismatchError, TimestepTooLargeError
 from selffield.scales import CONST, ELECTRON, ParticleSpec
 from selffield.wavepacket import GaussianPacket
-from selffield.dynamics import (GridSpec, GridState, _dot, _potential_factor,
+from selffield.dynamics import (GridSpec, GridState, _potential_factor,
                                 _Workspace, diagnostics, evolve, init_grid,
                                 load_snapshot, save_snapshot,
                                 solve_vector_potential, step,
@@ -370,11 +371,11 @@ def test_mixed_term_guard():
     state = init_grid(spec, packet())
     ws = _Workspace(spec)
     a = 100.0 * state.a_field
-    out = _potential_factor(ws, state.psi, a, spec.dt, _dot(a, a), ws.grad(state.psi))
+    out = _potential_factor(ws, state.psi, a, spec.dt, ws.dot(a, a), ws.grad(state.psi))
     assert np.all(np.isfinite(out))
     a = 1e3 * state.a_field
     with pytest.raises(TimestepTooLargeError, match="mixed-term"):
-        _potential_factor(ws, state.psi, a, spec.dt, _dot(a, a), ws.grad(state.psi))
+        _potential_factor(ws, state.psi, a, spec.dt, ws.dot(a, a), ws.grad(state.psi))
 
 
 def test_plane_wave_phase_advance_exact():
@@ -602,7 +603,7 @@ def _phase_first_step(state, spec, ws):
     mass, q = spec.particle.mass, spec.particle.charge
     psi_mid = ws.ifftn(ws.fftn(state.psi) * ws.half_kin)
     a = ws.field(psi_mid, a_prev=state.a_field)
-    psi = np.exp(-1j * spec.dt * q**2 * _dot(a, a) / (2.0 * mass * CONST.hbar)) * psi_mid
+    psi = np.exp(-1j * spec.dt * q**2 * ws.dot(a, a) / (2.0 * mass * CONST.hbar)) * psi_mid
 
     def apply_y(phi):
         acc = np.zeros_like(phi)
@@ -656,11 +657,13 @@ _NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_le
 class _CountingFft:
     """Stands in for scipy.fft inside dynamics and passes add the
     n^3-equivalents of every transform: a pass over k of the 3 spatial axes
-    counts k/3 per field, a half-size real transform half of that.  Any other
-    transform function fails the test, so none goes uncounted."""
+    counts k/3 per field, a half-size real transform half of that, and a
+    call on a slab of the n x n x n grid the share of the grid's (x, y) rows
+    it spans.  Any other transform function fails the test, so none goes
+    uncounted."""
 
-    def __init__(self, add):
-        self.add = add
+    def __init__(self, add, n):
+        self.add, self.n = add, n
 
     def __getattr__(self, name):
         fn = getattr(sfft, name)
@@ -671,7 +674,8 @@ class _CountingFft:
         def counted(a, *args, **kwargs):
             passes = len(kwargs["axes"]) if name.endswith("n") else 1
             real = Fraction(1, 2) if name.startswith(("rfft", "irfft")) else 1
-            self.add(math.prod(a.shape[:-3]) * Fraction(passes, 3) * real)
+            rows = Fraction(a.shape[-3] * a.shape[-2], self.n**2)
+            self.add(math.prod(a.shape[:-3]) * Fraction(passes, 3) * real * rows)
             return fn(a, *args, **kwargs)
         return counted
 
@@ -698,7 +702,7 @@ def _check_transform_counts(monkeypatch, coupling, step_max):
 
     spec = small_spec(coupling=coupling)
     state = init_grid(spec, packet())
-    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add))
+    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add, spec.n))
     phase("step")
     phase("diagnostics")
     evolve(state, spec, 6, record_stride=6)
@@ -732,7 +736,7 @@ def test_transform_counts_of_field_solve_from_real_space(monkeypatch, diagonal):
             counts[-1] += weight
 
     spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
-    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add))
+    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add, spec.n))
     counts.append(0)
     state = init_grid(spec, packet())
     counts.append(0)
@@ -740,13 +744,15 @@ def test_transform_counts_of_field_solve_from_real_space(monkeypatch, diagonal):
     assert len(counts) == 2 and max(counts) <= 5
 
 
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_trajectory_bit_identical_at_any_thread_count(monkeypatch, diagonal):
-    # pool tasks write into their own buffers and the main thread sums them in
-    # axis order, so the thread count changes no bit; stride 3 runs the FSAL
-    # chain between records.  Three workers run all three axis tasks at once,
-    # under frequent thread switches.
-    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
+@pytest.mark.parametrize("diagonal, coupling", [(False, True), (True, True), (False, False)],
+                         ids=["False", "True", "uncoupled"])
+def test_trajectory_bit_identical_at_any_thread_count(monkeypatch, diagonal, coupling):
+    # pool tasks write into their own buffers and sums over axes run in axis
+    # order, so the thread count changes no bit; stride 3 runs the FSAL chain
+    # between records.  Three workers cut n = 32 into uneven slabs, under
+    # frequent thread switches; with coupling off only the half kinetic
+    # factors run in slabs.
+    spec = dataclasses.replace(small_spec(coupling=coupling), include_diagonal_na=diagonal)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -782,24 +788,78 @@ def _peak_arrays(fn):
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
-def test_record_and_step_memory_bounds(diagonal):
+def test_record_and_step_memory_bounds(monkeypatch, diagonal):
     # a coupled record releases its intermediates once consumed, builds the
     # current and dj/dt one component at a time and the divergence in H psi
     # one axis at a time; the step's gradient and the mixed term's three
     # divergence buffers keep a fused interior step within 13 arrays; the
-    # field solve of init_grid holds no gradient through its transforms
+    # field solve of init_grid holds no gradient through its transforms.
+    # The bounds hold at every worker count: slab tasks write into buffers
+    # the calling thread allocated, so more workers allocate no more arrays.
+    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
+    for threads in (None, "1", "3"):
+        if threads is not None:
+            monkeypatch.setenv("SELFFIELD_THREADS", threads)
+        state = init_grid(spec, packet())
+        assert _peak_arrays(lambda: init_grid(spec, packet())) <= 9.5
+        ws = _Workspace(spec)
+        history = deque(maxlen=3)
+        diagnostics(state, spec, ws=ws, a2_history=history)
+        assert _peak_arrays(lambda: diagnostics(state, spec, ws=ws, a2_history=history,
+                                                fsal=dynamics._Fsal())) <= 12.5
+        fsal = dynamics._Fsal(close=False)
+        current = step(state, spec, ws=ws, a2_history=history, fsal=fsal)
+        assert _peak_arrays(lambda: step(current, spec, ws=ws, a2_history=history,
+                                         fsal=fsal)) <= 13.0
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
+def test_slabs_cover_every_row_once(monkeypatch, n, threads):
+    # one slab per worker (at most one per row), every row of the leading
+    # grid axis in exactly one; one worker runs the whole grid inline
+    monkeypatch.setenv("SELFFIELD_THREADS", threads)
+    ws = _Workspace(small_spec(n=n))
+    hits = np.zeros(n, dtype=int)
+    calls = []
+    lock = threading.Lock()
+
+    def fn(sl):
+        with lock:
+            hits[sl] += 1
+            calls.append((sl, threading.current_thread()))
+
+    ws.slabs(fn)
+    assert np.all(hits == 1)
+    assert len(calls) == min(int(threads), n)
+    if threads == "1":
+        assert calls == [(slice(None), threading.current_thread())]
+    else:
+        assert all(thread is not threading.current_thread() for _, thread in calls)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_evolve_frees_the_previous_field_during_a_step(monkeypatch, diagonal):
+    # without diagonal nA a coupled step never reads the previous field, so
+    # it is gone when the next step starts; with it, the step reads it.  The
+    # caller's state keeps its field either way.
     spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
     state = init_grid(spec, packet())
-    assert _peak_arrays(lambda: init_grid(spec, packet())) <= 9.5
-    ws = _Workspace(spec)
-    history = deque(maxlen=3)
-    diagnostics(state, spec, ws=ws, a2_history=history)
-    assert _peak_arrays(lambda: diagnostics(state, spec, ws=ws, a2_history=history,
-                                            fsal=dynamics._Fsal())) <= 12.5
-    fsal = dynamics._Fsal(close=False)
-    current = step(state, spec, ws=ws, a2_history=history, fsal=fsal)
-    assert _peak_arrays(lambda: step(current, spec, ws=ws, a2_history=history,
-                                     fsal=fsal)) <= 13.0
+    a_init = state.a_field.copy()
+    fields, alive = [], []
+    original = dynamics.step
+
+    def watched(current, *args, **kwargs):
+        alive.append(fields[-1]() is not None if fields else None)
+        out = original(current, *args, **kwargs)
+        fields.append(weakref.ref(out.a_field))
+        return out
+
+    monkeypatch.setattr(dynamics, "step", watched)
+    traj = evolve(state, spec, 4, record_stride=2)
+    assert alive == [None] + [diagonal] * 3
+    assert fields[-1]() is traj.final_state.a_field
+    assert np.array_equal(state.a_field, a_init)
 
 
 # --- snapshots -----------------------------------------------------------------------

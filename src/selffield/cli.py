@@ -48,19 +48,20 @@ MAX_GRID_POINTS = 100_000
 
 
 def _fmt(x) -> str:
-    """12-significant-digit rendering for CSV cells."""
+    """12-significant-digit rendering for CSV cells; a NaN or infinite
+    result raises FloatingPointError."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise FloatingPointError(f"non-finite result {x}")
         return f"{x:.11e}"
     return "" if x is None else str(x)
 
 
 def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON output;
-    a NaN or infinite result raises FloatingPointError."""
+    """Recursively round floats to 12 significant digits for JSON output,
+    through _fmt and its finite check."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise FloatingPointError(f"non-finite result {obj}")
-        return float(f"{obj:.11e}")
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -144,14 +145,14 @@ def _write_output(path: str | None, text: str, args, mode: str | None = None):
 def _emit(args, payload, fields=(), mode=None) -> int:
     """Write a result dict (or a list of them) rounded to 12 significant
     digits: sorted JSON, or under --format csv a header over fields and one
-    row per dict."""
-    payload = _round12(payload)
+    row per dict, each cell formatted once by _fmt (the .11e string of a
+    float is that of its 12-digit rounding)."""
     if getattr(args, "format", "json") == "csv":
         rows = payload if isinstance(payload, list) else [payload]
         text = "\n".join([",".join(fields)]
                          + [",".join(_fmt(row[f]) for f in fields) for row in rows])
     else:
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(_round12(payload), sort_keys=True)
     _write_output(args.output, text, args, mode)
     return EXIT_OK
 

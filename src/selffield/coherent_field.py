@@ -6,6 +6,15 @@ vector potential is A_hat(q) = j_perp_hat(q) / (eps0 c^2 q^2), sourced by the
 convective current j_hat(q) = (q_s / M) p_c rho_hat(q).  All angular
 integrals are done analytically (<1 - cos^2> = 2/3, <cos^2 (1 - cos^2)> =
 2/15); only the radial q-integral is numeric, evaluated in u = q*b.
+
+The spectral kernels (current_spectrum, transverse_project,
+potential_spectrum, efield_spectrum, transversality_residuals) take stacks:
+vectors have shape (..., 3) with the vector axis last, and wavevectors,
+widths b (shape (...)), momenta p_c and velocities v_c broadcast against
+each other, so a batch of packets and wavevectors is one call.  The
+GaussianPacket functions (classical_current_fourier, ...) are their
+one-row case: one q of shape (3,) gives a (3,) SpectralVector value and a
+float residual.
 """
 
 from __future__ import annotations
@@ -33,21 +42,59 @@ class SpectralVector:
 
     def transversality_residual(self) -> float:
         """|q . value| / (|q| |value|); 0 for exactly transverse fields."""
-        qn = np.linalg.norm(self.q)
-        vn = np.linalg.norm(self.value)
-        if qn == 0.0 or vn == 0.0:
-            return 0.0
-        return abs(np.dot(self.q, self.value)) / (qn * vn)
+        return float(transversality_residuals(self.q, self.value))
+
+
+def _dot(u, v):
+    """sum_i u_i v_i over the vector (last) axis."""
+    return np.multiply(u, v).sum(axis=-1)
+
+
+def _nonzero_q2(q, what: str):
+    """|q|^2 over the vector axis, or SingularWavevectorError if any is 0."""
+    q2 = _dot(q, q)
+    if np.any(q2 == 0.0):
+        raise SingularWavevectorError(f"{what} at q = 0")
+    return q2
 
 
 def transverse_project(q, v) -> np.ndarray:
     """Project v onto the plane transverse to q: v - q (q.v)/|q|^2."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v)
-    q2 = float(np.dot(q, q))
-    if q2 == 0.0:
-        raise SingularWavevectorError("transverse projection undefined at q = 0")
-    return v - q * (np.dot(q, v) / q2)
+    q2 = _nonzero_q2(q, "transverse projection undefined")
+    return v - q * (_dot(q, v) / q2)[..., None]
+
+
+def current_spectrum(q, b, momentum, charge_to_mass) -> np.ndarray:
+    """Convective current (q_s / M) p_c rho_hat(|q|) of packets of width b
+    and classical momentum p_c, as complex vectors (A m)."""
+    rho = np.exp(-(b * b) * _dot(q, q))
+    return ((charge_to_mass * rho)[..., None] * momentum).astype(complex)
+
+
+def potential_spectrum(q, b, momentum, charge_to_mass) -> np.ndarray:
+    """A_hat(q) = P_perp j_hat(q) / (eps0 c^2 q^2) of current_spectrum
+    (V s m^2); SingularWavevectorError at q = 0."""
+    q = np.asarray(q, dtype=float)
+    q2 = _nonzero_q2(q, "vector potential kernel singular")
+    j = current_spectrum(q, b, momentum, charge_to_mass)
+    return transverse_project(q, j) / (CONST.eps0 * CONST.c**2 * q2)[..., None]
+
+
+def efield_spectrum(q, potential, velocity) -> np.ndarray:
+    """Transverse E-field i (q . v_c) A_hat(q) of a field rigidly advected
+    at v_c (V m^2)."""
+    return 1j * _dot(q, velocity)[..., None] * potential
+
+
+def transversality_residuals(q, value) -> np.ndarray:
+    """|q . value| / (|q| |value|) over the vector axis; 0 where q or value
+    is zero (then q . value is exactly 0)."""
+    qn = np.linalg.norm(q, axis=-1)
+    vn = np.linalg.norm(value, axis=-1)
+    zero = (qn == 0.0) | (vn == 0.0)
+    return np.abs(_dot(q, value)) / np.where(zero, 1.0, qn * vn)
 
 
 def classical_current_fourier(p: GaussianPacket, q) -> SpectralVector:
@@ -57,9 +104,8 @@ def classical_current_fourier(p: GaussianPacket, q) -> SpectralVector:
     the diamagnetic n*A piece is handled only by the dynamics module.
     """
     q = np.asarray(q, dtype=float)
-    rho = math.exp(-(p.b**2) * float(np.dot(q, q)))
-    amp = p.particle.charge / p.particle.mass
-    return SpectralVector(q=q, value=(amp * rho) * p.momentum.astype(complex))
+    return SpectralVector(q=q, value=current_spectrum(
+        q, p.b, p.momentum, p.particle.charge / p.particle.mass))
 
 
 def vector_potential_fourier(p: GaussianPacket, q) -> SpectralVector:
@@ -68,12 +114,8 @@ def vector_potential_fourier(p: GaussianPacket, q) -> SpectralVector:
     Exactly transverse; singular (integrably) at q = 0.
     """
     q = np.asarray(q, dtype=float)
-    q2 = float(np.dot(q, q))
-    if q2 == 0.0:
-        raise SingularWavevectorError("vector potential kernel singular at q = 0")
-    j = classical_current_fourier(p, q).value
-    a = transverse_project(q, j) / (CONST.eps0 * CONST.c**2 * q2)
-    return SpectralVector(q=q, value=a)
+    return SpectralVector(q=q, value=potential_spectrum(
+        q, p.b, p.momentum, p.particle.charge / p.particle.mass))
 
 
 def transverse_efield_fourier(p: GaussianPacket, q) -> SpectralVector:
@@ -83,9 +125,7 @@ def transverse_efield_fourier(p: GaussianPacket, q) -> SpectralVector:
     the width-breathing contribution is not modelled.
     """
     a = vector_potential_fourier(p, q)
-    v_c = p.speed * p.direction
-    phase = 1j * float(np.dot(a.q, v_c))
-    return SpectralVector(q=a.q, value=phase * a.value)
+    return SpectralVector(q=a.q, value=efield_spectrum(a.q, a.value, p.velocity))
 
 
 def _radial_i2(p: GaussianPacket) -> float:

@@ -716,8 +716,10 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     j_src = j_can.copy() if spec.include_diagonal_na else j_can
     a_hat = ws.field_hat(psi, j_src, a_prev=state.a_field)
     a_field = ws.irfftn(a_hat.copy())
-    interaction = -0.5 * ws.integral(ws.dot(j_can, a_field))
+    # without diagonal nA the source current is the canonical one: one sum
     j_dot_a = ws.integral(ws.dot(j_src, a_field))
+    interaction = -0.5 * (j_dot_a if j_src is j_can
+                          else ws.integral(ws.dot(j_can, a_field)))
     del j_src
 
     # E_perp from the instantaneous current derivative (no history needed):

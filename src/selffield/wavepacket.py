@@ -40,8 +40,10 @@ def quad(func, a, b, **kwargs):
 
 
 def _unit(v) -> np.ndarray:
+    """v / |v|; |v| = sqrt(v.v) is what np.linalg.norm computes for a real
+    vector, without its dispatch cost."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))
     if n == 0.0:
         raise ValueError("direction vector must be nonzero")
     return v / n
@@ -76,6 +78,11 @@ class GaussianPacket:
     def speed(self) -> float:
         """Convective speed beta*c (m/s)."""
         return self.beta * CONST.c
+
+    @property
+    def velocity(self) -> np.ndarray:
+        """Convective velocity v_c = beta*c * direction (m/s)."""
+        return self.speed * self.direction
 
 
 def density_fourier(p: GaussianPacket, q: float) -> float:

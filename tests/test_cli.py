@@ -321,6 +321,19 @@ def test_evolve_non_finite_output_writes_nothing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_csv_output_with_a_non_finite_cell_writes_nothing(capsys, tmp_path):
+    # a mass of 1e300 kg makes the convective energy infinite: the CSV
+    # formatter refuses the cell, so neither the CSV nor its sidecar appears
+    out = tmp_path / "budget.csv"
+    code, stdout, err = run_cli(capsys, "energy", "--z", "1", "--mass-kg", "1e300",
+                                "--beta", "0.5", "--b", "1e-10", "--format", "csv",
+                                "--output", str(out))
+    assert code == EXIT_NUMERIC
+    assert stdout == ""
+    assert "non-finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_grid_beyond_physical_memory_is_config_error(capsys, tmp_path, monkeypatch):
     from selffield import dynamics
 

@@ -9,14 +9,16 @@ from selffield.errors import SingularWavevectorError
 from selffield.scales import CONST, ELECTRON, PROTON, derived_scales
 from selffield.wavepacket import GaussianPacket
 from selffield.coherent_field import (classical_current_fourier,
-                                      field_momentum,
+                                      efield_spectrum, field_momentum,
                                       mean_potential_coefficient,
                                       mean_vector_potential,
                                       momentum_coefficient,
+                                      potential_spectrum,
                                       renormalized_momentum,
                                       total_momentum,
                                       transverse_efield_fourier,
                                       transverse_project,
+                                      transversality_residuals,
                                       vector_potential_fourier)
 from selffield.energy_budget import electrostatic_energy
 
@@ -169,6 +171,70 @@ def test_efield_oblique_magnitude():
     # componentwise: E = i (q.v) A
     assert np.allclose(e.value, 1j * np.dot(q, p.speed * p.direction) * a.value,
                        rtol=1e-13)
+
+
+# --- stacked (..., 3) evaluation ---------------------------------------------
+
+def _random_packets(rng, count):
+    packets = [_packet(b=A_B * 10.0 ** rng.uniform(-1.0, 1.0),
+                       beta=rng.uniform(0.01, 0.3),
+                       direction=rng.standard_normal(3)) for _ in range(count)]
+    q = rng.standard_normal((count, 3)) / np.array([p.b for p in packets])[:, None]
+    return packets, q
+
+
+def test_stacked_fields_equal_the_per_packet_calls_row_by_row():
+    # the packet functions are the one-row case of the stack kernels
+    packets, q = _random_packets(np.random.default_rng(5), 64)
+    a = potential_spectrum(q, np.array([p.b for p in packets]),
+                           np.array([p.momentum for p in packets]),
+                           ELECTRON.charge / ELECTRON.mass)
+    e = efield_spectrum(q, a, np.array([p.velocity for p in packets]))
+    res_a, res_e = transversality_residuals(q, a), transversality_residuals(q, e)
+    assert a.shape == e.shape == (64, 3) and res_a.shape == (64,)
+    for i, p in enumerate(packets):
+        a_i, e_i = vector_potential_fourier(p, q[i]), transverse_efield_fourier(p, q[i])
+        assert np.array_equal(a[i], a_i.value)
+        assert np.array_equal(e[i], e_i.value)
+        assert res_a[i] == a_i.transversality_residual()
+        assert res_e[i] == e_i.transversality_residual()
+
+
+def test_stack_broadcasts_one_packet_over_many_wavevectors():
+    p = _packet(direction=np.array([1.0, 2.0, 2.0]))
+    q = np.random.default_rng(8).standard_normal((4, 5, 3)) / A_B
+    a = potential_spectrum(q, p.b, p.momentum, ELECTRON.charge / ELECTRON.mass)
+    assert a.shape == (4, 5, 3)
+    assert np.array_equal(a[2, 3], vector_potential_fourier(p, q[2, 3]).value)
+    assert np.array_equal(transverse_project(q, q), np.zeros((4, 5, 3)))
+
+
+def test_single_q_calls_keep_vector_values_and_float_residuals():
+    p = _packet()
+    q = [1.0 / A_B, 0.5 / A_B, 0.0]
+    for field in (classical_current_fourier, vector_potential_fourier,
+                  transverse_efield_fourier):
+        sv = field(p, q)
+        assert sv.value.shape == (3,) and sv.value.dtype == complex
+        assert type(sv.transversality_residual()) is float
+    assert transverse_project(q, [1.0, 0.0, 0.0]).shape == (3,)
+
+
+def test_stack_with_one_zero_wavevector_is_singular():
+    q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / A_B
+    p = _packet()
+    with pytest.raises(SingularWavevectorError):
+        transverse_project(q, q)
+    with pytest.raises(SingularWavevectorError):
+        potential_spectrum(q, p.b, p.momentum, ELECTRON.charge / ELECTRON.mass)
+
+
+def test_transversality_residual_zero_for_zero_rows():
+    q = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    value = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
+    got = transversality_residuals(q, value)
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert got[2] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
 # --- mean potential, renormalized and total momentum -------------------------

@@ -650,6 +650,28 @@ def test_diagonal_na_record_forms_the_canonical_current_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("diagonal_na,dots", [(False, 4), (True, 5)])
+def test_record_forms_int_j_dot_a_once_without_diagonal_na(monkeypatch, diagonal_na,
+                                                            dots):
+    # without diagonal nA the source current is the canonical one, and the
+    # interaction and magnetic energies share one int j.A
+    spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal_na)
+    state = init_grid(spec, packet())
+    ws = _Workspace(spec)
+    calls = []
+    dot = _Workspace.dot
+
+    def counted(self, u, v):
+        calls.append(1)
+        return dot(self, u, v)
+    monkeypatch.setattr(_Workspace, "dot", counted)
+    rec = diagnostics(state, spec, ws=ws)
+    assert len(calls) == dots
+    assert rec.interaction < 0.0
+    if not diagonal_na:
+        assert rec.field_energy == 0.5 * (rec.efield_energy - 2.0 * rec.interaction)
+
+
 # scipy.fft functions that are not transforms, passed through uncounted
 _NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_len"}
 

@@ -8,7 +8,8 @@ successful run prints strict JSON or CSV whose numbers are all finite.
 The evolve and config cases run in a fresh temporary directory, keep every
 output path inside it, and stay at n <= 48 and at most 3 steps.
 
-Also: the dynamics' phase helper _cis agrees with the complex exponential.
+Also: the dynamics' phase helper _cis agrees with the complex exponential,
+and a packet direction is v / np.linalg.norm(v) bit for bit.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from selffield.cli import CONFIG_KEYS, CONFIG_SWITCHES, main  # noqa: E402
 from selffield.dynamics import _cis  # noqa: E402
 from selffield.scales import CONST, PARTICLE_PRESETS  # noqa: E402
+from selffield.wavepacket import _unit  # noqa: E402
 
 FLOATS = st.floats()
 # widths at every decade of the float range too, subnormals included, where
@@ -260,3 +262,22 @@ def test_cis_matches_complex_exponential(theta):
     got, want = _cis(theta), np.exp(1j * theta)
     np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
     np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(mantissas=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       exponent=st.integers(-310, 200))
+@example(mantissas=[0.0, -0.0, 0.0], exponent=0)
+@example(mantissas=[1.0, 1e-9, -0.5], exponent=-310)
+@example(mantissas=[1.0, -1.0, 1.0], exponent=200)
+def test_unit_is_v_over_its_norm_bitwise(mantissas, exponent):
+    # components from 1e-310 (subnormal) to 1e200 (|v|^2 overflows); a
+    # vector whose norm is 0 is refused
+    v = np.array(mantissas) * 10.0 ** exponent
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            with pytest.raises(ValueError, match="nonzero"):
+                _unit(v)
+        else:
+            assert _unit(v).tobytes() == (v / norm).tobytes()

@@ -15,25 +15,31 @@ step and the records all call; the real current and field pass through the
 half spectrum (rfftn/irfftn).  The step keeps the grad psi_mid of its field
 solve for the first application of the mixed generator, which then
 differentiates only A_i psi_mid.  Every first derivative is
-_Workspace.deriv: a 1-D transform along its axis, i k_grad, and the 1-D
-inverse, two thirds of a 3-D transform pair.
+_Workspace.deriv: one BLAS product with the real, antisymmetric Fourier
+differentiation matrix D (the operator i k_grad, Nyquist mode zeroed) on
+the float view of a complex field.  At n <= 128 it runs faster than a 1-D
+transform pair; its cost per point grows as n, not log n, so from n = 256
+it is expected to be the slower of the two.
 
 The work of a step and a record runs as tasks of one module-level thread
-pool (_Workspace.map, sized like the 3-D transforms by _fft_workers); numpy
-and pocketfft release the GIL.  Pointwise passes run in slabs, one slice of
-the leading grid axis per worker (_Workspace.slabs): the half kinetic
-factors, the current, the transverse projection and the field kernel, the
-axis-order dot products such as A.A, the mixed term's per-pass sums and its
-psi + y1 + y2/2 combination, the A^2 phase, and the pointwise terms of
-H psi.  The y and z derivatives of grad, the mixed term and H psi run in
-the same slabs, with single-threaded 1-D transforms; their x derivatives
-run in slabs across y, which keep each 1-D transform whole.  dj/dt runs
-one task per axis.  H psi adds its divergence one axis at a time through
-one buffer, which keeps a record's memory peak low.  A task never
-allocates an array: it writes only into buffers the calling thread
-allocated.  Every element sees the operations of one whole-array pass in
-the same order, and sums over axes run in axis order 0, 1, 2, so psi, A
-and every record are bit-identical at any thread count.
+pool (_Workspace.map, sized like the 3-D transforms by _fft_workers); numpy,
+pocketfft and BLAS release the GIL.  Pointwise passes run in slabs, one
+slice of the leading grid axis per worker (_Workspace.slabs): the half
+kinetic factors, the current, the transverse projection and the field
+kernel, the axis-order dot products such as A.A, the mixed term's per-pass
+sums and its psi + y1 + y2/2 combination, the A^2 phase, and the pointwise
+terms of H psi.  The y and z derivatives run in the same slabs, the x
+derivatives in slabs across y; dj/dt runs one task per axis.  BLAS itself
+runs on one thread inside evolve, init_grid, solve_vector_potential, step
+and diagnostics (_one_blas_thread), which put the caller's count back on
+return.  A derivative writes out of place, through scratch that the
+calling thread allocated where it must act in place, and H psi adds its
+divergence one axis at a time through one buffer, which keeps a record's
+memory peak low.  A task allocates no array of its own (numpy's
+mixed real-complex multiplies still take iteration buffers).  Every element
+sees the operations of one whole-array pass in the same order, and sums
+over axes run in axis order 0, 1, 2, so psi, A and every record are
+bit-identical at any thread count.
 
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
@@ -48,9 +54,10 @@ Monitored invariants: norm, the conserved energy in the form
 kinetic - (1/2) int j.A + eps0 int E_perp^2 (+ the d^2/dt^2 int A^2
 correction), total momentum (matter + field), and a power-balance residual
 standing in for the Poynting surface flux, which vanishes identically on a
-torus.  In n^3-equivalents (a 1-D pass is 1/3, a half-size real transform
-1/2) a fused coupled step costs 13, the first step after a record 13 too, a
-record 14 and init_grid 5.
+torus.  In n^3-equivalents of 3-D transforms (a half-size real transform
+counts 1/2) a fused coupled step costs 5, the first step after a record 5
+too, a record 8 and init_grid 3; they take 12, 12, 9 and 3 derivative
+products of a whole field.
 """
 
 from __future__ import annotations
@@ -162,6 +169,79 @@ def _cis(theta, out=None):
     return out
 
 
+def _fourier_derivative_matrix(n: int, box: float) -> np.ndarray:
+    """The n x n Fourier differentiation matrix of the periodic grid,
+    D[j, m] = d((j - m) mod n) with d(p) = (pi/box) (-1)^p cot(pi p/n) for
+    0 < p < n/2, d(n - p) = -d(p) and d(0) = d(n/2) = 0 (Trefethen, Spectral
+    Methods in MATLAB, ch. 3): the operator i k_grad with the Nyquist mode
+    zeroed, exactly antisymmetric, circulant and odd under reflection."""
+    p = np.arange(1, n // 2)
+    d = np.zeros(n)
+    d[p] = (math.pi / box) * np.where(p % 2, -1.0, 1.0) / np.tan(math.pi * p / n)
+    d[n - p] = -d[p]
+    j = np.arange(n)
+    return d[(j[:, None] - j) % n]
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
+    found by its exported get/set-num-threads symbols among the shared
+    objects in /proc/self/maps; None where none is found."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (OSError, AttributeError):
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_pin = {"depth": 0, "caller": 0}
+
+
+def _one_blas_thread(fn):
+    """fn with the OpenBLAS that numpy loaded on one thread: the derivative
+    products run inside pool tasks, where BLAS threads of their own would
+    compete with the pool.  The outermost call in the process saves the
+    caller's count and the last one to return puts it back; where no
+    OpenBLAS is found nothing is pinned."""
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        api = _openblas_threads()
+        if api is None:
+            return fn(*args, **kwargs)
+        get, set_ = api
+        with _BLAS_LOCK:
+            if _blas_pin["depth"] == 0:
+                _blas_pin["caller"] = get()
+                set_(1)
+            _blas_pin["depth"] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with _BLAS_LOCK:
+                _blas_pin["depth"] -= 1
+                if _blas_pin["depth"] == 0:
+                    set_(_blas_pin["caller"])
+    return pinned
+
+
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -203,12 +283,16 @@ class _Workspace:
             self.inv_k2[tuple(idx)] = 0.0
         # First-derivative wavenumbers zero the Nyquist planes (the odd
         # derivative of the sawtooth mode is sign-ambiguous; zeroing keeps
-        # gradients of real fields real and the mixed generator skew).
+        # gradients of real fields real and the mixed generator skew).  The
+        # derivative itself is the real differentiation matrix of the same
+        # operator, and along z its kron with I_2, which acts on the
+        # interleaved real and imaginary parts of a row.
         kg1 = k1.copy()
         kg1[nyq] = 0.0
         self.k_grad_axes = _axis_arrays(kg1)
-        self.ik_grad_axes = _axis_arrays(1j * kg1)
         self.k_grad_max = math.sqrt(3.0) * float(np.abs(kg1).max())
+        self.d_matrix = _fourier_derivative_matrix(n, spec.box)
+        self.d_kron = np.kron(self.d_matrix.T, np.eye(2))
         self.x1 = np.arange(n) * dx
         self.centre = 0.5 * spec.box
         mass = spec.particle.mass
@@ -252,10 +336,10 @@ class _Workspace:
         return sfft.rfftn(a, axes=(-3, -2, -1), workers=self.workers)
 
     def irfftn(self, a_hat):
-        """Real field from its half spectrum; overwrites a_hat."""
+        """Real field from its half spectrum; a_hat is left as it was."""
         n = self.spec.n
         return sfft.irfftn(a_hat, s=(n, n, n), axes=(-3, -2, -1),
-                           workers=self.workers, overwrite_x=True)
+                           workers=self.workers, overwrite_x=False)
 
     def half_sum(self, x) -> float:
         """Full-spectrum sum of a quantity even under k -> -k (such as
@@ -280,17 +364,21 @@ class _Workspace:
                    for item in items]
         return (future.result() for future in futures)
 
-    def slabs(self, fn):
-        """fn(sl) for one slice sl of the leading grid axis per worker, as
-        tasks of the module's thread pool; fn(slice(None)) inline with one
-        worker.  fn writes only into its rows of arrays the calling thread
-        allocated, so every element sees the operations of one whole-array
-        pass."""
+    def slab_rows(self):
+        """The slices of the leading grid axis that slabs hands out, one per
+        worker (slice(None) with one worker)."""
         if self.workers == 1:
-            fn(slice(None))
-            return
+            return [slice(None)]
         n, k = self.spec.n, min(self.workers, self.spec.n)
-        list(self.map(fn, [slice(n * i // k, n * (i + 1) // k) for i in range(k)]))
+        return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+    def slabs(self, fn):
+        """fn(sl) for each slice sl of slab_rows, as tasks of the module's
+        thread pool (inline with one worker).  fn writes only into its rows
+        of arrays the calling thread allocated, so every element sees the
+        operations of one whole-array pass."""
+        for _ in self.map(fn, self.slab_rows()):
+            pass
 
     def imul(self, x, y):
         """x *= y in place, in slabs; y is a grid array and x one or a
@@ -318,35 +406,43 @@ class _Workspace:
         return out
 
     # physics building blocks ------------------------------------------
-    def deriv(self, f, axis):
-        """Spectral d/dx_axis of a complex field, a stack of them or a slab
-        of one, in place in f: a 1-D transform along axis, i k_grad, the
-        1-D inverse.  Single-threaded: it runs inside pool tasks.  Along
-        axis 0, i k_grad multiplies one plane of that axis at a time: a
-        plane is contiguous even in a slab across axis 1, where a strided
-        multiply would make numpy allocate iteration buffers."""
-        f_hat = sfft.fft(f, axis=axis - 3, workers=1, overwrite_x=True)
+    def deriv(self, f, axis, out):
+        """Spectral d/dx_axis of a complex field, a stack of them, a slab or
+        a plane of one, into out (never f itself), as one BLAS product with
+        the differentiation matrix D on their float views: along x, D times
+        the (x, rest) matrix of each field; along y, D times each x-plane;
+        along z, the interleaved real and imaginary rows times
+        kron(D^T, I_2).  How f is cut into slabs moves no bit of an output
+        element (the thread-count tests hold the BLAS build to that).  The
+        last axis of f and out must be whole and contiguous, and along x and
+        z their rows must merge.  It runs on the calling thread (inside pool
+        tasks), with BLAS on one thread."""
+        fv, ov = f.view(float), out.view(float)
         if axis == 0:
-            for i, ik in enumerate(self.ik_grad_axes[0].ravel()):
-                plane = f_hat[..., i, :, :]
-                np.multiply(plane, ik, out=plane)
+            rows = fv.shape[:-2] + (-1,)
+            np.matmul(self.d_matrix, fv.reshape(rows, copy=False),
+                      out=ov.reshape(rows, copy=False))
+        elif axis == 1:
+            np.matmul(self.d_matrix, fv, out=ov)
         else:
-            f_hat *= self.ik_grad_axes[axis]
-        return sfft.ifft(f_hat, axis=axis - 3, workers=1, overwrite_x=True)
+            rows = (-1, fv.shape[-1])
+            np.matmul(fv.reshape(rows, copy=False), self.d_kron,
+                      out=ov.reshape(rows, copy=False))
+        return out
 
     def grad(self, f):
-        """Spectral gradient of a complex field, a (3, n, n, n) stack: the y
-        and z derivatives in slabs of rows, the x one in slabs across y."""
+        """Spectral gradient of a complex field, a (3, n, n, n) stack, in one
+        pass of slabs: the y and z derivatives of the slab's rows and the x
+        derivative of its columns across y (f is only read)."""
+        f = np.ascontiguousarray(f, dtype=complex)
         out = np.empty((3,) + f.shape, dtype=complex)
 
-        def rows_yz(sl):
-            for axis in range(3):
-                np.copyto(out[axis, sl], f[sl])
-                if axis:
-                    self.deriv(out[axis, sl], axis)
+        def slab(sl):
+            self.deriv(f[:, sl], 0, out[0][:, sl])
+            for axis in (1, 2):
+                self.deriv(f[sl], axis, out[axis, sl])
 
-        self.slabs(rows_yz)
-        self.slabs(lambda sl: self.deriv(out[0][:, sl], 0))
+        self.slabs(slab)
         return out
 
     def current(self, psi, grad):
@@ -430,6 +526,7 @@ def _packet_on_grid(ws: _Workspace, packet: GaussianPacket):
     return psi / norm
 
 
+@_one_blas_thread
 def init_grid(spec: GridSpec, packet: GaussianPacket) -> GridState:
     """Initial condition: Gaussian envelope times plane wave, slaved field.
 
@@ -449,6 +546,7 @@ def init_grid(spec: GridSpec, packet: GaussianPacket) -> GridState:
     return GridState(psi=psi, a_field=ws.field(psi), t=0.0)
 
 
+@_one_blas_thread
 def solve_vector_potential(state: GridState, spec: GridSpec) -> np.ndarray:
     """Recompute the quasi-static Coulomb-gauge field from psi.
 
@@ -493,36 +591,39 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
     step this keeps norm drift far below 1e-12.
 
     grad is grad psi, which the step's field solve formed, so the first
-    application of Y transforms only A_i psi per axis; grad's memory then
-    serves the second application, which transforms phi and A_i phi.
+    application of Y differentiates only A_i psi per axis; grad's memory then
+    serves the second application, which differentiates phi and A_i phi.
+    A derivative writes out of place, so A_i phi goes through scratch: y1
+    (free until the first application sums into it) in the first, grad[i]
+    (free until the derivative of phi lands there) in the second.
     """
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
     div = np.empty_like(grad)
+    y1 = np.empty_like(psi)
 
     def apply_y(phi, finish):
         # grad[i] <- A_i d_i phi, div[i] <- d_i(A_i phi) (phi is None on the
         # first application, where grad[i] is d_i psi), then finish(rows).
         # Slabs of rows hold the pointwise work and the y and z derivatives;
-        # the x derivatives run in slabs across y, which keep each of their
-        # 1-D transforms whole
+        # the x derivatives run in slabs across y once every row of A_x phi
+        # is in its scratch
         src = psi if phi is None else phi
+        scratch = [y1] * 3 if phi is None else grad
 
         def rows_yz(sl):
-            for axis in range(3):
+            for axis in (1, 2, 0):
                 a_i, g = a_field[axis, sl], grad[axis, sl]
-                d = np.multiply(a_i, src[sl], out=div[axis, sl])
-                if phi is not None:
-                    np.copyto(g, phi[sl])
+                s = np.multiply(a_i, src[sl], out=scratch[axis][sl])
                 if axis:
-                    ws.deriv(d, axis)
+                    ws.deriv(s, axis, div[axis, sl])
                     if phi is not None:
-                        ws.deriv(g, axis)
+                        ws.deriv(phi[sl], axis, g)
                     g *= a_i
 
         def cols_x(sl):
-            ws.deriv(div[0][:, sl], 0)
+            ws.deriv(scratch[0][:, sl], 0, div[0][:, sl])
             if phi is not None:
-                ws.deriv(grad[0][:, sl], 0)
+                ws.deriv(phi[:, sl], 0, grad[0][:, sl])
 
         def rows_finish(sl):
             g = grad[0, sl]
@@ -543,7 +644,6 @@ def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
         acc *= coeff
         return acc
 
-    y1 = np.empty_like(psi)
     apply_y(None, lambda sl: y_rows(y1, sl))
 
     def combine(sl):
@@ -607,6 +707,7 @@ class _Fsal:
     close: bool = True
 
 
+@_one_blas_thread
 def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
          a2_history: deque | None = None, *,
          fsal: _Fsal | None = None) -> GridState:
@@ -670,6 +771,7 @@ class DiagnosticsRecord:
     current_dot_e: float
 
 
+@_one_blas_thread
 def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
                 a2_history: deque | None = None,
                 prev_power: tuple[float, float, float] | None = None,
@@ -690,7 +792,7 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     """
     if ws is None:
         ws = _Workspace(spec)
-    psi = state.psi
+    psi = np.ascontiguousarray(state.psi)    # the derivatives read float views
     psi_hat = ws.fftn(psi)
     if fsal is not None:
         fsal.psi_hat = psi_hat
@@ -715,7 +817,7 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     j_can = ws.current(psi, grad)
     j_src = j_can.copy() if spec.include_diagonal_na else j_can
     a_hat = ws.field_hat(psi, j_src, a_prev=state.a_field)
-    a_field = ws.irfftn(a_hat.copy())
+    a_field = ws.irfftn(a_hat)
     # without diagonal nA the source current is the canonical one: one sum
     j_dot_a = ws.integral(ws.dot(j_src, a_field))
     interaction = -0.5 * (j_dot_a if j_src is j_can
@@ -725,10 +827,11 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
     # E_perp from the instantaneous current derivative (no history needed):
     # dj_i/dt = (q/M) Re(conj(H psi) d_i psi - conj(psi) d_i(H psi)), one
     # task per component, in the memory of d_i psi; conj(H psi) takes the
-    # memory of H psi, and each task conjugates it back (exactly)
+    # memory of H psi.  D is real, so d_i(H psi) = conj(D_i conj(H psi)) and
+    # the second term is Re(psi D_i conj(H psi)), to the bit
     h_psi = _hamiltonian_apply(ws, psi, psi_hat, a_field, grad)
     del psi_hat, a_field
-    conj_h, conj_psi = np.conj(h_psi, out=h_psi), np.conj(psi)
+    conj_h = np.conj(h_psi, out=h_psi)
     del h_psi
     dj_dt = np.empty(grad.shape, dtype=float)
 
@@ -736,13 +839,11 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
         g = grad[axis]
         np.multiply(conj_h, g, out=g)
         dj_dt[axis] = np.real(g)
-        np.conj(conj_h, out=g)
-        ws.deriv(g, axis)
-        np.multiply(conj_psi, g, out=g)
+        np.multiply(psi, ws.deriv(conj_h, axis, g), out=g)
         dj_dt[axis] -= np.real(g)
 
     list(ws.map(axis_task, range(3)))
-    del grad, conj_h, conj_psi
+    del grad, conj_h
     dj_dt *= ws.charge / spec.particle.mass
     e_hat = ws.vector_potential_hat(ws.rfftn(dj_dt))
     del dj_dt
@@ -793,27 +894,34 @@ def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     grad psi in real space and psi_hat the spectrum of psi.
 
     The divergence div(A psi) is added to A.grad psi one axis at a time
-    through one buffer, in slabs of rows; the x derivative runs in slabs
-    across y, which keep each of its 1-D transforms whole."""
-    mass = ws.spec.particle.mass
+    through one buffer of A_i psi; its derivatives go one plane at a time
+    through one plane of scratch per slab: x-planes in slabs of rows for
+    the y and z terms, planes across y in slabs of y for the x term."""
+    mass, n = ws.spec.particle.mass, ws.spec.n
     mixed = ws.dot(a_field, grad)
     buf = np.empty_like(psi)
+    rows = ws.slab_rows()
+    scratch = np.empty((len(rows), n, n), dtype=complex)
 
     def rows_x(sl):
         np.multiply(a_field[0, sl], psi[sl], out=buf[sl])
 
-    def cols_x(sl):
-        ws.deriv(buf[:, sl], 0)
+    def cols_x(i):
+        plane = scratch[i][:, None]
+        for y in range(n)[rows[i]]:
+            mixed[:, y] += ws.deriv(buf[:, y:y + 1], 0, plane)[:, 0]
 
-    def rows_yz(sl):
-        b, m = buf[sl], mixed[sl]
-        m += b
+    def rows_yz(i):
+        sl, plane = rows[i], scratch[i]
         for axis in (1, 2):
-            m += ws.deriv(np.multiply(a_field[axis, sl], psi[sl], out=b), axis)
+            b = np.multiply(a_field[axis, sl], psi[sl], out=buf[sl])
+            for b_x, m_x in zip(b, mixed[sl]):
+                m_x += ws.deriv(b_x, axis, plane)
 
-    for fn in (rows_x, cols_x, rows_yz):
-        ws.slabs(fn)
-    del buf
+    ws.slabs(rows_x)
+    for fn in (cols_x, rows_yz):
+        list(ws.map(fn, range(len(rows))))
+    del buf, scratch
     kinetic, h_hat = np.empty(psi.shape), np.empty_like(psi)
 
     def kinetic_slab(sl):
@@ -868,6 +976,7 @@ def _finite(rec: DiagnosticsRecord) -> DiagnosticsRecord:
     return rec
 
 
+@_one_blas_thread
 def evolve(state: GridState, spec: GridSpec, n_steps: int,
            record_stride: int = 1) -> Trajectory:
     """Run n_steps of evolution, recording diagnostics every record_stride.

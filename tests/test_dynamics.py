@@ -4,12 +4,15 @@ stepping, diagnostics, trajectories, and snapshot serialization."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,7 +611,8 @@ def _phase_first_step(state, spec, ws):
     def apply_y(phi):
         acc = np.zeros_like(phi)
         for axis in range(3):
-            pair = ws.deriv(np.array([phi, a[axis] * phi]), axis)
+            pair = np.array([phi, a[axis] * phi])
+            pair = ws.deriv(pair, axis, np.empty_like(pair))
             acc += a[axis] * pair[0] + pair[1]
         return (spec.dt * q / (2.0 * mass)) * acc
 
@@ -678,92 +682,188 @@ _NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_le
 
 class _CountingFft:
     """Stands in for scipy.fft inside dynamics and passes add the
-    n^3-equivalents of every transform: a pass over k of the 3 spatial axes
-    counts k/3 per field, a half-size real transform half of that, and a
-    call on a slab of the n x n x n grid the share of the grid's (x, y) rows
-    it spans.  Any other transform function fails the test, so none goes
-    uncounted."""
+    n^3-equivalents of every 3-D transform: a pass over k of the 3 spatial
+    axes counts k/3 per field and a half-size real transform half of that.
+    Any other transform function fails the test, so none goes uncounted."""
 
-    def __init__(self, add, n):
-        self.add, self.n = add, n
+    def __init__(self, add):
+        self.add = add
 
     def __getattr__(self, name):
         fn = getattr(sfft, name)
         if name in _NOT_TRANSFORMS:
             return fn
-        assert name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"), name
+        assert name in ("fftn", "ifftn", "rfftn", "irfftn"), name
 
         def counted(a, *args, **kwargs):
-            passes = len(kwargs["axes"]) if name.endswith("n") else 1
             real = Fraction(1, 2) if name.startswith(("rfft", "irfft")) else 1
-            rows = Fraction(a.shape[-3] * a.shape[-2], self.n**2)
-            self.add(math.prod(a.shape[:-3]) * Fraction(passes, 3) * real * rows)
+            self.add(math.prod(a.shape[:-3]) * Fraction(len(kwargs["axes"]), 3) * real)
             return fn(a, *args, **kwargs)
         return counted
 
 
-def _check_transform_counts(monkeypatch, coupling, step_max):
-    # n^3-equivalents per call: a fused interior coupled step makes 13, and
-    # so does the first step after a record, which starts from the record's
-    # spectrum; an uncoupled one makes none, and a record at most 14.
-    # Transforms also run on pool threads, so the tally takes a lock.
+def _count_work(monkeypatch, n):
+    """Tally the transforms (n^3-equivalents, _CountingFft) and the
+    derivative products (whole fields: a product on a slab or a plane counts
+    its share of the grid) of each call that phase(name) marks; transforms
+    and products also run on pool threads, so the tally takes a lock."""
     calls = []
     lock = threading.Lock()
 
-    def add(weight):
+    def add(index, weight):
         with lock:
-            calls[-1][1] += weight
+            calls[-1][index] += weight
 
     def phase(name):
         original = getattr(dynamics, name)
 
         def wrapper(*args, **kwargs):
-            calls.append([name, 0])
+            calls.append([name, 0, 0])
             return original(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, wrapper)
 
+    deriv = _Workspace.deriv
+
+    def counted(self, f, axis, out):
+        add(2, Fraction(out.size, n**3))
+        return deriv(self, f, axis, out)
+
+    monkeypatch.setattr(dynamics, "sfft", _CountingFft(lambda w: add(1, w)))
+    monkeypatch.setattr(_Workspace, "deriv", counted)
+    return calls, phase
+
+
+def _check_transform_counts(monkeypatch, coupling, step_max, derivs):
+    # a fused interior coupled step makes 5 n^3-equivalents of transforms,
+    # and so does the first step after a record, which starts from the
+    # record's spectrum; an uncoupled one makes none, and a record at most 8.
+    # derivs is (per step, per record): 12 and 9 coupled, none uncoupled
     spec = small_spec(coupling=coupling)
     state = init_grid(spec, packet())
-    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add, spec.n))
+    calls, phase = _count_work(monkeypatch, spec.n)
     phase("step")
     phase("diagnostics")
     evolve(state, spec, 6, record_stride=6)
 
-    steps = [c for name, c in calls if name == "step"]
-    records = [c for name, c in calls if name == "diagnostics"]
+    steps = [c[1:] for c in calls if c[0] == "step"]
+    records = [c[1:] for c in calls if c[0] == "diagnostics"]
     assert len(steps) == 6 and len(records) == 2
-    for c in steps[:-1]:
-        assert c <= step_max
-    for c in records:
-        assert c <= 14
+    for transforms, _ in steps[:-1]:
+        assert transforms <= step_max
+    for transforms, _ in records:
+        assert transforms <= 8
+    assert [d for _, d in steps] == [derivs[0]] * 6
+    assert [d for _, d in records] == [derivs[1]] * 2
 
 
 def test_transform_counts_per_step_and_record(monkeypatch):
-    _check_transform_counts(monkeypatch, coupling=True, step_max=13)
+    _check_transform_counts(monkeypatch, coupling=True, step_max=5, derivs=(12, 9))
 
 
 def test_transform_counts_per_step_and_record_uncoupled(monkeypatch):
-    _check_transform_counts(monkeypatch, coupling=False, step_max=0)
+    _check_transform_counts(monkeypatch, coupling=False, step_max=0, derivs=(0, 0))
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_transform_counts_of_field_solve_from_real_space(monkeypatch, diagonal):
     # init_grid and solve_vector_potential solve the field from the psi they
-    # hold: the gradient (2), rfftn of the current and irfftn of A (3/2 each)
-    counts = []
-    lock = threading.Lock()
-
-    def add(weight):
-        with lock:
-            counts[-1] += weight
-
+    # hold: the gradient (3 derivative products), rfftn of the current and
+    # irfftn of A (3/2 each)
     spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
-    monkeypatch.setattr(dynamics, "sfft", _CountingFft(add, spec.n))
-    counts.append(0)
+    calls, phase = _count_work(monkeypatch, spec.n)
+    phase("init_grid")
+    phase("solve_vector_potential")
+    state = dynamics.init_grid(spec, packet())
+    dynamics.solve_vector_potential(state, spec)
+    assert [c[0] for c in calls] == ["init_grid", "solve_vector_potential"]
+    for _, transforms, derivs in calls:
+        assert transforms <= 3 and derivs == 3
+
+
+def _fft_derivative(f, axis, box):
+    """d/dx_axis of f as i k_grad on its 1-D transform along axis, with the
+    Nyquist mode zeroed."""
+    n = f.shape[axis]
+    k = 2.0 * math.pi * sfft.fftfreq(n, d=box / n)
+    k[n // 2] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = n
+    return sfft.ifft(sfft.fft(f, axis=axis) * (1j * k).reshape(shape), axis=axis)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_derivative_matrix_is_the_fourier_derivative(n):
+    spec = small_spec(n=n)
+    d = dynamics._fourier_derivative_matrix(n, spec.box)
+    flip = (-np.arange(n)) % n
+    assert np.array_equal(d, -d.T)                                   # antisymmetric
+    assert np.array_equal(np.roll(d, (1, 1), axis=(0, 1)), d)        # circulant
+    assert np.array_equal(d[np.ix_(flip, flip)], -d)                 # reflection-odd
+    ws = _Workspace(spec)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    for axis in range(3):
+        got = ws.deriv(f, axis, np.empty_like(f))
+        want = _fft_derivative(f, axis, spec.box)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+# a short coupled evolve in a fresh interpreter; prints one digest of the
+# final psi and A and every record
+_EVOLVE_DIGEST = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from test_dynamics import evolve, init_grid, packet, small_spec
+spec = small_spec()
+run = evolve(init_grid(spec, packet()), spec, 4, record_stride=2)
+digest = hashlib.sha256(run.final_state.psi.tobytes() + run.final_state.a_field.tobytes())
+for record in run.records:
+    digest.update(repr(record).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_trajectory_bit_identical_with_blas_threads_pinned_or_not():
+    # inside a run BLAS is held to one thread, so the caller's
+    # OPENBLAS_NUM_THREADS changes no bit of psi, A or the records
+    tests = Path(__file__).resolve().parent
+    digests = []
+    for blas in ("1", None):
+        env = dict(os.environ, SELFFIELD_THREADS="2")
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        out = subprocess.run([sys.executable, "-c", _EVOLVE_DIGEST, str(tests),
+                              str(tests.parent / "src")],
+                             env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_evolve_holds_blas_to_one_thread_and_restores_the_callers_count(monkeypatch):
+    api = dynamics._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread API found in this process")
+    get, set_ = api
+    before = get()
+    seen = []
+    deriv = _Workspace.deriv
+
+    def watched(self, f, axis, out):
+        seen.append(get())
+        return deriv(self, f, axis, out)
+
+    monkeypatch.setattr(_Workspace, "deriv", watched)
+    spec = small_spec()
     state = init_grid(spec, packet())
-    counts.append(0)
-    solve_vector_potential(state, spec)
-    assert len(counts) == 2 and max(counts) <= 5
+    try:
+        set_(2)
+        evolve(state, spec, 2, record_stride=1)
+        after = get()
+    finally:
+        set_(before)
+    assert after == 2
+    assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("diagonal, coupling", [(False, True), (True, True), (False, False)],

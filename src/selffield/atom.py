@@ -10,8 +10,9 @@ vanishes at q = 0 (neutrality), and the electrostatic energy interpolates
 between zero (delocalized, b >> gamma) and the bare-nucleus value
 (b << gamma).  Centre-of-mass localization minimizes the bare nucleus's
 functional K/b^2 - C/b with 1/b screened, K/b^2 - C screened_bracket(b),
-taking K and C from localization.functional_coefficients; the minimum is
-the bracketed root of the analytic derivative.
+taking K, C and the bare minimizer b0 = 2K/C from the localization
+kernel's one-row case; the minimum is the bracketed root of the analytic
+derivative.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .errors import NoLocalizationError, NoMinimumError
 from .scales import (AMU_ELECTRON_RATIO, CONST, ELECTRON, PROTON,
                      ParticleSpec, derived_scales)
-from .localization import LocalizationResult, functional_coefficients
+from .localization import LocalizationResult, _localize_one
 from .energy_budget import BudgetMode
 from .wavepacket import U_MAX, quad
 
@@ -148,12 +149,13 @@ def bare_nucleus_energy(a: NeutralAtom, b: float) -> float:
 def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
     """Minimize f(b) = K/b^2 - C screened_bracket(b, gamma) over b.
 
-    K and C are the bare nucleus's (Z e, M_tot) from functional_coefficients,
-    which also checks beta (the centre-of-mass velocity).  As
-    0 <= -b^2 dS/db <= 1, f' < 0 at b0/2 (b0 = 2K/C), and f' can turn
-    positive only by the peak of -b^3 dS/db at 0.5717 gamma; the root of f'
-    is bracketed by doubling from b0 up to that peak and solved by brentq,
-    which is imported here, so that only this solve loads scipy.optimize.
+    K, C and b0 = 2K/C are the bare nucleus's (Z e, M_tot), from the
+    localization kernel's one-row case, which also checks beta (the
+    centre-of-mass velocity).  As 0 <= -b^2 dS/db <= 1, f' < 0 at b0/2,
+    and f' can turn positive only by the peak of -b^3 dS/db at 0.5717
+    gamma; the root of f' is bracketed by doubling from b0 up to that peak
+    and solved by brentq, which is imported here, so that only this solve
+    loads scipy.optimize.
     NoLocalizationError when screening wins (no root, or no positive depth).
     """
     from scipy.optimize import brentq
@@ -161,10 +163,10 @@ def atom_minimize(a: NeutralAtom, beta: float) -> LocalizationResult:
     nucleus = ParticleSpec(z=a.z_nucleus, mass=a.mass_total,
                            label=a.label or f"Z={a.z_nucleus} atom")
     try:
-        k_coeff, c_coeff = functional_coefficients(nucleus, beta)
+        bare = _localize_one(nucleus, beta, BudgetMode.PAPER_QUOTED)
     except NoMinimumError as exc:
         raise NoLocalizationError(str(exc)) from exc
-    b0 = 2.0 * k_coeff / c_coeff
+    k_coeff, c_coeff, b0 = bare.k_coeff, bare.c_coeff, bare.b_star
 
     def slope(b):   # b^3 f'(b) / 2K: the sign of f'
         return b / b0 * _bracket_slope(b / a.gamma) - 1.0

@@ -82,11 +82,11 @@ def parse_beta_grid(text: str) -> list[float]:
             raise ConfigError("beta_grid", "start, stop and step must be finite")
         if step_v <= 0.0:
             raise ConfigError("beta_grid", "step must be positive")
-        if not (stop - start) / step_v < MAX_GRID_POINTS:
-            raise ConfigError("beta_grid", f"more than {MAX_GRID_POINTS} values")
         grid = []
         value = start
         while value <= stop + 0.5 * step_v:
+            if len(grid) == MAX_GRID_POINTS:   # also ends a step too small to advance
+                raise ConfigError("beta_grid", f"more than {MAX_GRID_POINTS} values")
             grid.append(round(value, 12))
             value += step_v
         return grid

@@ -9,7 +9,10 @@ electrostatic self-energy E_el = (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b):
     convective           P^2 / 2M, constant in b
 
 E_el itself is computed in the wavepacket module, beside the internal
-kinetic term, and re-exported here.  Each Gaussian closed form has an
+kinetic term, and re-exported here.  The closed forms, and
+localization_objective, take a GaussianPacket or a PacketStack (arrays of
+widths and speeds, one value per packet); powers of beta are Python's, so
+a stack gives each packet's bits.  Each Gaussian closed form has an
 adaptive-quadrature twin used as oracle.
 Two assembly modes exist: PAPER_QUOTED keeps only the terms whose
 minimization yields the closed-form localization radius and binding energy;
@@ -23,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .scales import CONST, EV
-from .wavepacket import (GaussianPacket, electrostatic_energy,
-                         internal_kinetic_energy)
+from .wavepacket import (GaussianPacket, PacketStack, _pow,
+                         electrostatic_energy, internal_kinetic_energy)
 from .coherent_field import ANGULAR_CROSS, ANGULAR_TRANSVERSE, _radial_i2
 
 
@@ -76,12 +79,12 @@ def electrostatic_energy_quadrature(p: GaussianPacket) -> float:
     return p.particle.charge**2 / (4.0 * math.pi**2 * CONST.eps0) * _radial_i2(p)
 
 
-def current_potential_energy(p: GaussianPacket) -> float:
+def current_potential_energy(p: GaussianPacket | PacketStack) -> float:
     """Interaction term -(1/2) int j_c . A_c d3r = -(2/3) beta^2 E_el (J).
 
     Negative for any moving packet: parallel currents attract.
     """
-    return -ANGULAR_TRANSVERSE * p.beta**2 * electrostatic_energy(p)
+    return -ANGULAR_TRANSVERSE * _pow(p.beta, 2) * electrostatic_energy(p)
 
 
 def current_potential_energy_quadrature(p: GaussianPacket) -> float:
@@ -93,9 +96,9 @@ def current_potential_energy_quadrature(p: GaussianPacket) -> float:
     return pref * _radial_i2(p)
 
 
-def transverse_field_energy(p: GaussianPacket) -> float:
+def transverse_field_energy(p: GaussianPacket | PacketStack) -> float:
     """Transverse-field energy eps0 int E_perp^2 d3r = (4/15) beta^4 E_el (J)."""
-    return 2.0 * ANGULAR_CROSS * p.beta**4 * electrostatic_energy(p)
+    return 2.0 * ANGULAR_CROSS * _pow(p.beta, 4) * electrostatic_energy(p)
 
 
 def transverse_field_energy_quadrature(p: GaussianPacket) -> float:
@@ -144,7 +147,7 @@ def assemble_budget(p: GaussianPacket, mode: BudgetMode = BudgetMode.PAPER_QUOTE
                         total=total, mode=mode)
 
 
-def localization_objective(p: GaussianPacket, mode: BudgetMode) -> float:
+def localization_objective(p: GaussianPacket | PacketStack, mode: BudgetMode) -> float:
     """b-dependent part of the budget total (J).
 
     Omitting the constant convective term avoids catastrophic cancellation

@@ -8,10 +8,24 @@ its minimum at
 
 and b*/lambda_deBroglie is independent of the particle mass.  Both budget
 modes keep this form (ASSEMBLED only weakens C by the beta^4 field term), so
-the minimizer is closed form: functional_coefficients reads K and C off the
-energy budget at the closed-form width, b* = 2K/C and the depth is C^2/4K,
-evaluated as minus the objective at b*.  The screened atom reuses the same
-K and C for its bare nucleus.
+the minimizer is closed form.  One kernel, _localize, evaluates it for one
+beta or a 1-D array of them as one numpy batch: it reads K and C off the
+energy budget at the closed-form widths (a PacketStack), forms b* = 2K/C,
+and takes the depth C^2/4K as minus the objective at b*.  Each row gets the
+bits of a scalar evaluation (the powers are Python's) and, instead of an
+exception, a status:
+
+    ok                a minimum inside the normal float range
+    invalid-velocity  beta outside [0, 1), or nan
+    no-minimum        beta = 0, where the functional is monotone
+    non-binding       C <= 0, or C is nan
+    float-range       scalar float arithmetic would raise (a zero divisor,
+                      an overflowing power, a seed width outside (0, inf)),
+                      or b*^2 or the depth leaves the normal float range
+
+sweep is one kernel call per grid.  functional_coefficients and
+minimize_radius are its one-row case and raise what the row's status names;
+so does the screened atom, which reuses K, C and b* for its bare nucleus.
 """
 
 from __future__ import annotations
@@ -20,11 +34,14 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidVelocityError, NoMinimumError
-from .scales import ELECTRON, EV, ParticleSpec, derived_scales
+from .scales import ELECTRON, EV, ParticleSpec, de_broglie_length, derived_scales
 from .energy_budget import BudgetMode, localization_objective
-from .wavepacket import GaussianPacket, internal_kinetic_energy
+from .wavepacket import PacketStack, _pow, internal_kinetic_energy
 
 # closed-form radius prefactor (9 sqrt(pi) / 4 sqrt(2)) and binding prefactor
 RADIUS_PREFACTOR = 9.0 * math.sqrt(math.pi) / (4.0 * math.sqrt(2.0))
@@ -57,8 +74,12 @@ class LocalizationResult:
 
 def closed_form_radius(p: ParticleSpec, beta: float) -> float:
     """b* = (9 sqrt(pi)/4 sqrt(2)) beta^-2 * bohr_like_length (m)."""
-    scales = derived_scales(p, beta)
-    return RADIUS_PREFACTOR * scales.bohr_like_length / beta**2
+    return _radius(derived_scales(p, beta).bohr_like_length, beta)
+
+
+def _radius(bohr, beta):
+    """closed_form_radius from the Bohr-like length; beta may be an array."""
+    return RADIUS_PREFACTOR * bohr / _pow(beta, 2)
 
 
 def closed_form_binding(p: ParticleSpec, beta: float) -> float:
@@ -67,14 +88,79 @@ def closed_form_binding(p: ParticleSpec, beta: float) -> float:
     return BINDING_PREFACTOR * beta**4 * scales.rydberg_like_energy
 
 
-def _check_beta(beta: float):
-    if not 0.0 <= beta < 1.0:
+class _Localized(NamedTuple):
+    """K (J m^2), C (J m), b* = 2K/C (m), the depth -objective(b*) (J),
+    b*/lambda and a status from _localize: floats and a str for one beta,
+    lists with one entry per beta for a sequence."""
+
+    k_coeff: float | list
+    c_coeff: float | list
+    b_star: float | list
+    depth: float | list
+    b_over_de_broglie: float | list
+    status: str | list
+
+
+# _localize's row statuses: a row takes the first whose check holds
+_STATUSES = np.array(("invalid-velocity", "no-minimum", "float-range", "non-binding",
+                      "float-range", "ok"))
+
+
+def _localize(p: ParticleSpec, beta, mode: BudgetMode) -> _Localized:
+    """Localize p at beta, a float or a 1-D sequence of them, as one numpy
+    batch, with the row statuses of the module docstring."""
+    if p.z == 0:
+        raise ValueError("charged-particle minimization needs z != 0; use the atom module")
+    beta = np.asarray(beta, dtype=float)[()]   # one beta: a numpy scalar, not a 0-d array
+    with np.errstate(all="ignore"):
+        try:
+            seed = _radius(derived_scales(p).bohr_like_length, beta)
+            at_seed = PacketStack(b=seed, particle=p, beta=beta)
+            kinetic = internal_kinetic_energy(at_seed)
+            seed_sq = _pow(seed, 2)
+            k_coeff = kinetic * seed_sq
+            c_coeff = (kinetic - localization_objective(at_seed, mode)) * seed
+            lam = de_broglie_length(p, beta)
+            # rows where scalar float code raises: a seed width outside
+            # (0, inf) (a zero beta**2 makes it infinite), an overflowing
+            # seed**2, or a zero divisor making kinetic or lambda infinite
+            raised = (~((0.0 < seed) & (seed < math.inf)) | (kinetic == math.inf)
+                      | (seed_sq == math.inf) | (lam == math.inf))
+            b_star = 2.0 * k_coeff / c_coeff
+            depth = -localization_objective(PacketStack(b=b_star, particle=p, beta=beta),
+                                            mode)
+        except ArithmeticError:   # the particle's own scales leave the float range
+            k_coeff = c_coeff = b_star = depth = lam = np.full(beta.shape, math.nan)
+            raised = np.ones(beta.shape, dtype=bool)
+        b_sq = b_star * b_star
+        in_range = ((0.0 < b_sq) & (b_sq < math.inf)
+                    & (c_coeff / (2.0 * b_star) >= sys.float_info.min))
+        # one of the last two checks holds, so argmax finds a first in each row
+        checks = np.array((~((0.0 <= beta) & (beta < 1.0)), beta == 0.0, raised,
+                           ~(c_coeff > 0.0), ~in_range, in_range))
+        ratio = b_star / lam
+    return _Localized(k_coeff.tolist(), c_coeff.tolist(), b_star.tolist(),
+                      depth.tolist(), ratio.tolist(),
+                      _STATUSES[checks.argmax(axis=0)].tolist())
+
+
+def _localize_one(p: ParticleSpec, beta: float, mode: BudgetMode) -> _Localized:
+    """_localize at one beta, raising what its status names; warns past
+    BETA_SOFT_LIMIT."""
+    row = _localize(p, beta, mode)
+    if row.status == "invalid-velocity":
         raise InvalidVelocityError(f"beta = {beta} outside [0, 1)")
-    if beta == 0.0:
+    if row.status == "no-minimum":
         raise NoMinimumError("functional is monotone at beta = 0: no localization")
     if beta > BETA_SOFT_LIMIT:
         warnings.warn(f"beta = {beta} > {BETA_SOFT_LIMIT}: beta^4 terms are no "
-                      "longer small; results are indicative only", stacklevel=4)
+                      "longer small; results are indicative only", stacklevel=3)
+    where = f"beta={beta} for particle {p.label or p.z}"
+    if row.status == "non-binding":
+        raise NoMinimumError(f"functional non-binding at {where}")
+    if row.status == "float-range":
+        raise NoMinimumError(f"minimum outside the float range at {where}")
+    return row
 
 
 def functional_coefficients(p: ParticleSpec, beta: float,
@@ -86,37 +172,17 @@ def functional_coefficients(p: ParticleSpec, beta: float,
     Raises NoMinimumError at beta = 0, when the functional does not bind,
     and when b* = 2K/C or the depth C^2/4K is outside the normal float range.
     """
-    if p.z == 0:
-        raise ValueError("charged-particle minimization needs z != 0; use the atom module")
-    _check_beta(beta)
-    where = f"beta={beta} for particle {p.label or p.z}"
-    try:
-        seed = closed_form_radius(p, beta)
-        at_seed = GaussianPacket(b=seed, particle=p, beta=beta)
-        kinetic = internal_kinetic_energy(at_seed)
-        k_coeff = kinetic * seed**2
-        c_coeff = (kinetic - localization_objective(at_seed, mode)) * seed
-    except (ArithmeticError, ValueError) as exc:   # seed width or energy out of range
-        raise NoMinimumError(f"minimum outside the float range at {where}") from exc
-    if not c_coeff > 0.0:
-        raise NoMinimumError(f"functional non-binding at {where}")
-    b_star = 2.0 * k_coeff / c_coeff
-    if not (0.0 < b_star * b_star < math.inf
-            and c_coeff / (2.0 * b_star) >= sys.float_info.min):
-        raise NoMinimumError(f"minimum outside the float range at {where}")
-    return k_coeff, c_coeff
+    row = _localize_one(p, beta, mode)
+    return row.k_coeff, row.c_coeff
 
 
 def minimize_radius(p: ParticleSpec, beta: float,
                     mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> LocalizationResult:
     """Minimize K/b^2 - C/b in closed form: b* = 2K/C, depth = -objective(b*)."""
-    k_coeff, c_coeff = functional_coefficients(p, beta, mode)
-    b_star = 2.0 * k_coeff / c_coeff
-    depth = -localization_objective(GaussianPacket(b=b_star, particle=p, beta=beta), mode)
-    lam = derived_scales(p, beta).de_broglie_length
+    row = _localize_one(p, beta, mode)
     return LocalizationResult(
-        b_star=b_star, binding_energy=depth, beta=beta, particle=p, mode=mode,
-        b_over_de_broglie=b_star / lam)
+        b_star=row.b_star, binding_energy=row.depth, beta=beta, particle=p, mode=mode,
+        b_over_de_broglie=row.b_over_de_broglie)
 
 
 def scale_to_particle(res: LocalizationResult, z: int, mass: float,
@@ -170,24 +236,25 @@ class SweepRow:
 
 
 SWEEP_FIELDS = ("beta", "b_star_m", "binding_eV", "b_over_lambda", "mode", "status")
+# a sweep row's status for each _localize status
+_SWEEP_STATUS = {"ok": "ok", "invalid-velocity": "invalid-velocity",
+                 "no-minimum": "no-minimum", "non-binding": "no-minimum",
+                 "float-range": "no-minimum"}
 
 
 def sweep(p: ParticleSpec, beta_grid,
           mode: BudgetMode = BudgetMode.PAPER_QUOTED) -> list[SweepRow]:
-    """Minimize over a grid of beta values; one row per beta, input order.
+    """Minimize over a grid of beta values in one _localize batch; one row
+    per beta, input order.
 
-    Per-row failures become row statuses ('no-minimum', 'invalid-velocity')
-    and never abort the sweep; the beta soft-limit warning is silenced.
+    Row failures become row statuses ('no-minimum', 'invalid-velocity')
+    and never abort the sweep; no beta soft-limit warning is issued.
     """
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for beta in map(float, beta_grid):
-            try:
-                rows.append(SweepRow(beta=beta, result=minimize_radius(p, beta, mode),
-                                     status="ok"))
-            except NoMinimumError:
-                rows.append(SweepRow(beta=beta, result=None, status="no-minimum"))
-            except InvalidVelocityError:
-                rows.append(SweepRow(beta=beta, result=None, status="invalid-velocity"))
-    return rows
+    betas = [float(beta) for beta in beta_grid]
+    rows = _localize(p, betas, mode)
+    return [SweepRow(beta=beta, status=_SWEEP_STATUS[status],
+                     result=LocalizationResult(
+                         b_star=b_star, binding_energy=depth, beta=beta, particle=p,
+                         mode=mode, b_over_de_broglie=ratio) if status == "ok" else None)
+            for beta, b_star, depth, ratio, status in zip(
+                betas, rows.b_star, rows.depth, rows.b_over_de_broglie, rows.status)]

@@ -96,6 +96,12 @@ class ScaleSet:
     de_broglie_length: float | None
 
 
+def de_broglie_length(p: ParticleSpec, beta, constants: PhysicalConstants = CONST):
+    """de Broglie length 2 pi hbar / (M beta c) (m) at speed beta c; beta
+    may be an array, and is not range-checked here."""
+    return 2.0 * math.pi * constants.hbar / (p.mass * beta * constants.c)
+
+
 def derived_scales(p: ParticleSpec, beta: float = 0.0,
                    constants: PhysicalConstants = CONST) -> ScaleSet:
     """Compute the Bohr-like, Rydberg-like, Compton and de Broglie scales.
@@ -112,6 +118,6 @@ def derived_scales(p: ParticleSpec, beta: float = 0.0,
     bohr = 4.0 * math.pi * eps0 * hbar**2 / (p.mass * ze**2)
     rydberg = p.mass * ze**4 / (2.0 * (4.0 * math.pi * eps0 * hbar) ** 2)
     compton = hbar / (p.mass * c)
-    de_broglie = 2.0 * math.pi * hbar / (p.mass * beta * c) if beta > 0.0 else None
+    de_broglie = de_broglie_length(p, beta, constants) if beta > 0.0 else None
     return ScaleSet(bohr_like_length=bohr, rydberg_like_energy=rydberg,
                     compton_length=compton, de_broglie_length=de_broglie)

@@ -6,8 +6,11 @@ rho(r) = (4 pi b^2)^(-3/2) exp(-r^2 / 4 b^2) with form factor
 rho_hat(q) = exp(-b^2 q^2).  The packet's two field-free self-terms live
 here side by side: the internal kinetic energy 3 hbar^2 / (16 M b^2) and
 the electrostatic self-energy E_el, of which every self-field term of the
-energy budget is a multiple.  RadialProfile provides the brute-force
-quadrature path for the form factor, the oracle against the Gaussian one.
+energy budget is a multiple.  Those two, and the budget terms built on
+them, also take a PacketStack: packets of one particle whose widths and
+speeds are arrays, one value per packet.  RadialProfile provides the
+brute-force quadrature path for the form factor, the oracle against the
+Gaussian one.
 The package's one adaptive quadrature, quad, lives here beside the
 tolerances it applies; it loads scipy.integrate on its first call, so
 commands that only evaluate closed forms never import it.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,22 @@ def quad(func, a, b, **kwargs):
     imported on the first call; kwargs add what differs (limit, points)."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, **kwargs)
+
+
+def _pow(x, n):
+    """x**n by Python's float power: of a float as such, and element by
+    element for a numpy array or scalar, where an overflow gives inf (a
+    float raises OverflowError).  numpy's power differs from Python's in the
+    last bit (for ~5% of beta**4), and a stack must give each packet's bits."""
+    if not isinstance(x, (np.ndarray, np.generic)):
+        return x ** n
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(v ** n)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out).reshape(x.shape)[()]   # a numpy scalar for a scalar
 
 
 def _unit(v) -> np.ndarray:
@@ -85,6 +104,17 @@ class GaussianPacket:
         return self.speed * self.direction
 
 
+class PacketStack(NamedTuple):
+    """Gaussian packets of one particle, with widths b (m) and speeds beta
+    as arrays that broadcast; the closed-form energy terms take it in place
+    of a GaussianPacket and return one value per packet.  Nothing is
+    range-checked: an out-of-range row gives inf or nan."""
+
+    b: np.ndarray
+    particle: ParticleSpec
+    beta: np.ndarray
+
+
 def density_fourier(p: GaussianPacket, q: float) -> float:
     """Form factor rho_hat(q) = exp(-b^2 q^2) of the Gaussian density.
 
@@ -96,14 +126,14 @@ def density_fourier(p: GaussianPacket, q: float) -> float:
     return math.exp(-(p.b * q) ** 2)
 
 
-def internal_kinetic_energy(p: GaussianPacket) -> float:
+def internal_kinetic_energy(p: GaussianPacket | PacketStack) -> float:
     """Internal (width) kinetic energy 3 hbar^2 / (16 M b^2) in joules; b*b
     rather than b**2, so that a width too large to square gives 0, not
     OverflowError."""
     return 3.0 * CONST.hbar**2 / (16.0 * p.particle.mass * (p.b * p.b))
 
 
-def electrostatic_energy(p: GaussianPacket) -> float:
+def electrostatic_energy(p: GaussianPacket | PacketStack) -> float:
     """Electrostatic self-energy E_el = (Z e)^2 / (8 sqrt(2) pi^(3/2) eps0 b)
     in joules; every self-field term of the energy budget is a multiple of it."""
     ze = p.particle.charge

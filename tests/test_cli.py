@@ -41,6 +41,16 @@ def test_beta_grid_bad_spec():
         parse_beta_grid("0.1:0.2:-0.05")
 
 
+def test_beta_grid_cap_counts_the_values(capsys):
+    # 0, 1, ..., 99999 is MAX_GRID_POINTS values; with 100000 it is one more,
+    # although (stop - start) / step stays below the cap
+    assert len(parse_beta_grid("0:99998.9:1")) == cli.MAX_GRID_POINTS
+    code, out, err = run_cli(capsys, "sweep", "--particle", "electron",
+                             "--beta", "0:99999.9:1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "selffield: config error: beta_grid: more than 100000 values\n"
+
+
 # --- minimize -------------------------------------------------------------------
 
 def test_minimize_stdout(capsys):

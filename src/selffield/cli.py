@@ -21,8 +21,10 @@ past the soft limit) is one "selffield: warning:" line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -48,8 +50,8 @@ MAX_GRID_POINTS = 100_000
 
 
 def _fmt(x) -> str:
-    """12-significant-digit rendering for CSV cells; a NaN or infinite
-    result raises FloatingPointError."""
+    """12-significant-digit rendering of one value, as a CSV cell template
+    renders it; a NaN or infinite result raises FloatingPointError."""
     if isinstance(x, float):
         if not math.isfinite(x):
             raise FloatingPointError(f"non-finite result {x}")
@@ -71,7 +73,8 @@ def _round12(obj):
 
 def parse_beta_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive endpoints, tolerance step/2, at
-    most MAX_GRID_POINTS values) or a comma-separated list of finite numbers."""
+    most MAX_GRID_POINTS values) or a comma-separated list of finite
+    numbers; a grid with no value is refused."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -89,10 +92,12 @@ def parse_beta_grid(text: str) -> list[float]:
                 raise ConfigError("beta_grid", f"more than {MAX_GRID_POINTS} values")
             grid.append(round(value, 12))
             value += step_v
-        return grid
-    grid = [float(p) for p in text.split(",") if p.strip()]
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError("beta_grid", "every beta must be a finite number")
+    else:
+        grid = [float(p) for p in text.split(",") if p.strip()]
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError("beta_grid", "every beta must be a finite number")
+    if not grid:
+        raise ConfigError("beta_grid", f"no beta values in {text!r}")
     return grid
 
 
@@ -142,16 +147,38 @@ def _write_output(path: str | None, text: str, args, mode: str | None = None):
         fh.write("\n")
 
 
+# a non-finite float cell as the "%.11e" of a CSV row renders it
+_NON_FINITE_CELL = re.compile(r"(?:^|,)(-?inf|nan)(?=,|$)", re.M)
+
+
+@functools.cache
+def _csv_template(types: tuple) -> str:
+    """The % template of a CSV row with cells of these types, rendering each
+    cell as _fmt does: %.11e for a float (the .11e string of a float is that
+    of its 12-digit rounding), nothing for None, %s for anything else."""
+    return ",".join("%.11e" if issubclass(t, float) else "%.0s" if t is type(None)
+                    else "%s" for t in types)
+
+
 def _emit(args, payload, fields=(), mode=None) -> int:
-    """Write a result dict (or a list of them) rounded to 12 significant
-    digits: sorted JSON, or under --format csv a header over fields and one
-    row per dict, each cell formatted once by _fmt (the .11e string of a
-    float is that of its 12-digit rounding)."""
+    """Write a result dict, or a list of NamedTuple rows whose _fields are
+    fields, rounded to 12 significant digits: sorted JSON, or under
+    --format csv a header over fields and one line per row, formatted by
+    the one template of its cell types.  As with _fmt, a NaN or infinite
+    float cell raises FloatingPointError (no str cell of a CSV row reads
+    inf or nan)."""
     if getattr(args, "format", "json") == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
+        rows = ([tuple(map(payload.__getitem__, fields))] if isinstance(payload, dict)
+                else payload)
         text = "\n".join([",".join(fields)]
-                         + [",".join(_fmt(row[f]) for f in fields) for row in rows])
+                         + [_csv_template(tuple(map(type, row))) % row for row in rows])
+        # no finite .11e cell holds an i or an n: the substring tests spare
+        # the usual text the far slower cell search
+        if ("inf" in text or "nan" in text) and (bad := _NON_FINITE_CELL.search(text)):
+            raise FloatingPointError(f"non-finite result {bad[1]}")
     else:
+        if isinstance(payload, list):
+            payload = [row._asdict() for row in payload]
         text = json.dumps(_round12(payload), sort_keys=True)
     _write_output(args.output, text, args, mode)
     return EXIT_OK
@@ -180,7 +207,7 @@ def cmd_sweep(args) -> int:
     particle = _parse_particle(args)
     mode = BudgetMode.parse(args.mode)
     rows = sweep(particle, parse_beta_grid(args.beta), mode)
-    return _emit(args, [r.to_dict() for r in rows], SWEEP_FIELDS, mode.value)
+    return _emit(args, rows, SWEEP_FIELDS, mode.value)
 
 
 def cmd_atom(args) -> int:

@@ -2,13 +2,21 @@
 
 The wave function evolves under H = |p - q A|^2 / 2M with the Coulomb-gauge
 vector potential slaved quasi-statically to its own probability current:
-A_hat(k) = j_perp_hat(k) / (eps0 c^2 k^2), k != 0.  One step is a symmetric
-Strang split: exact spectral half kinetic step, full step of the
-A-dependent factor with the field refreshed from the midpoint psi, half
-kinetic step again.  The mixed A.grad term is applied through a short
-unitarized polynomial of the anti-Hermitian generator (A.grad + div(A .)),
-keeping per-step norm drift at roundoff, and the A^2 term after it as a
-pure phase.  A comes from one field solve of real-space psi,
+A_hat(k) = j_perp_hat(k) / (eps0 c^2 k^2), k != 0.  One step is a split
+step: exact spectral half kinetic step, full step of the A-dependent factor
+with the field refreshed from the midpoint psi, half kinetic step again.
+The mixed A.grad term is applied through a short unitarized polynomial of
+the anti-Hermitian generator (A.grad + div(A .)), keeping per-step norm
+drift at roundoff, and the A^2 term after it as a pure phase.  The step is
+not a symmetric Strang step, for two reasons: the field A[psi_mid] is
+explicit (the mixed term changes j after A is taken), and the field factor
+is the Lie-Trotter pair P.M of the A^2 phase and the mixed term, which do
+not commute.  Measured for the electron (n=32, box 8b, b = 3e-11 m, beta =
+0.1, dt halved from 2e-19 s), the order of psi's self-convergence is 2.00
+at z = -1 but 1.55, 1.24, 1.08 at z = -10, and the step is not
+time-reversible: the error of a run forward and back halves with dt.
+
+A comes from one field solve of real-space psi,
 _Workspace.field_hat (its half spectrum, from the current) or
 _Workspace.field (A itself), which init_grid, solve_vector_potential, the
 step and the records all call; the real current and field pass through the
@@ -43,7 +51,7 @@ bit-identical at any thread count.
 
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
-exact for a Strang split and saves one inverse and one forward transform of
+exact for any split and saves one inverse and one forward transform of
 psi per step; with coupling off, psi then stays in Fourier space from one
 record to the next.  At every record the chain restarts from real-space
 psi, so a run resumed from a snapshot taken at a record is bit-identical to
@@ -711,14 +719,17 @@ class _Fsal:
 def step(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
          a2_history: deque | None = None, *,
          fsal: _Fsal | None = None) -> GridState:
-    """Advance one dt: T(dt/2) . W(dt; A[psi_mid]) . T(dt/2) Strang step.
+    """Advance one dt: T(dt/2) . W(dt; A[psi_mid]) . T(dt/2).
 
     The slaved field is refreshed from the midpoint psi (after the first
-    half kinetic factor).  With coupling off the field factor W is skipped
-    and A is carried over unchanged.  If a2_history is given, int A^2 d3r
-    of the midpoint field (0 with coupling off) is appended (feeds the
-    d^2/dt^2 diagnostic term).  fsal chains steps inside evolve (see
-    _Fsal); without it the step is the full Strang step.
+    half kinetic factor) and held fixed through W = P.M, so the step is not
+    symmetric: second order at weak coupling, falling toward first order
+    under strong coupling, and not time-reversible (module docstring).
+    With coupling off the field factor W is skipped and A is carried over
+    unchanged.  If a2_history is given, int A^2 d3r of the midpoint field
+    (0 with coupling off) is appended (feeds the d^2/dt^2 diagnostic term).
+    fsal chains steps inside evolve (see _Fsal); without it the step is the
+    full split step.
     """
     _check_timestep(spec)
     if ws is None:

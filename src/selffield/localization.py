@@ -23,9 +23,12 @@ exception, a status:
                       an overflowing power, a seed width outside (0, inf)),
                       or b*^2 or the depth leaves the normal float range
 
-sweep is one kernel call per grid.  functional_coefficients and
-minimize_radius are its one-row case and raise what the row's status names;
-so does the screened atom, which reuses K, C and b* for its bare nucleus.
+sweep is one kernel call per grid, and its rows are flat: one SweepRow
+tuple per beta, in CSV column order, built straight from the kernel's
+columns with None cells on an error row (no LocalizationResult per row).
+functional_coefficients and minimize_radius are the kernel's one-row case
+and raise what the row's status names; so does the screened atom, which
+reuses K, C and b* for its bare nucleus.
 """
 
 from __future__ import annotations
@@ -90,15 +93,15 @@ def closed_form_binding(p: ParticleSpec, beta: float) -> float:
 
 class _Localized(NamedTuple):
     """K (J m^2), C (J m), b* = 2K/C (m), the depth -objective(b*) (J),
-    b*/lambda and a status from _localize: floats and a str for one beta,
-    lists with one entry per beta for a sequence."""
+    b*/lambda and a status from _localize: numpy arrays with one entry per
+    beta (numpy scalars for one beta)."""
 
-    k_coeff: float | list
-    c_coeff: float | list
-    b_star: float | list
-    depth: float | list
-    b_over_de_broglie: float | list
-    status: str | list
+    k_coeff: np.ndarray
+    c_coeff: np.ndarray
+    b_star: np.ndarray
+    depth: np.ndarray
+    b_over_de_broglie: np.ndarray
+    status: np.ndarray
 
 
 # _localize's row statuses: a row takes the first whose check holds
@@ -139,15 +142,14 @@ def _localize(p: ParticleSpec, beta, mode: BudgetMode) -> _Localized:
         checks = np.array((~((0.0 <= beta) & (beta < 1.0)), beta == 0.0, raised,
                            ~(c_coeff > 0.0), ~in_range, in_range))
         ratio = b_star / lam
-    return _Localized(k_coeff.tolist(), c_coeff.tolist(), b_star.tolist(),
-                      depth.tolist(), ratio.tolist(),
-                      _STATUSES[checks.argmax(axis=0)].tolist())
+    return _Localized(k_coeff, c_coeff, b_star, depth, ratio,
+                      _STATUSES[checks.argmax(axis=0)])
 
 
 def _localize_one(p: ParticleSpec, beta: float, mode: BudgetMode) -> _Localized:
-    """_localize at one beta, raising what its status names; warns past
-    BETA_SOFT_LIMIT."""
-    row = _localize(p, beta, mode)
+    """_localize at one beta as Python floats and a str, raising what its
+    status names; warns past BETA_SOFT_LIMIT."""
+    row = _Localized._make(col.tolist() for col in _localize(p, beta, mode))
     if row.status == "invalid-velocity":
         raise InvalidVelocityError(f"beta = {beta} outside [0, 1)")
     if row.status == "no-minimum":
@@ -215,27 +217,19 @@ def debroglie_ratio(p: ParticleSpec, beta: float) -> float:
     return closed_form_radius(p, beta) / scales.de_broglie_length
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep entry; rows with errors carry a status instead of aborting."""
+class SweepRow(NamedTuple):
+    """One sweep entry in CSV column order; an error row carries its status
+    and None in every other cell instead of aborting the sweep."""
 
     beta: float
-    result: LocalizationResult | None
+    b_star_m: float | None
+    binding_eV: float | None
+    b_over_lambda: float | None
+    mode: str | None
     status: str
 
-    def to_dict(self) -> dict:
-        if self.result is not None:
-            return {"beta": self.beta,
-                    "b_star_m": self.result.b_star,
-                    "binding_eV": self.result.binding_energy / EV,
-                    "b_over_lambda": self.result.b_over_de_broglie,
-                    "mode": self.result.mode.value,
-                    "status": self.status}
-        return {"beta": self.beta, "b_star_m": None, "binding_eV": None,
-                "b_over_lambda": None, "mode": None, "status": self.status}
 
-
-SWEEP_FIELDS = ("beta", "b_star_m", "binding_eV", "b_over_lambda", "mode", "status")
+SWEEP_FIELDS = SweepRow._fields
 # a sweep row's status for each _localize status
 _SWEEP_STATUS = {"ok": "ok", "invalid-velocity": "invalid-velocity",
                  "no-minimum": "no-minimum", "non-binding": "no-minimum",
@@ -251,10 +245,14 @@ def sweep(p: ParticleSpec, beta_grid,
     and never abort the sweep; no beta soft-limit warning is issued.
     """
     betas = [float(beta) for beta in beta_grid]
-    rows = _localize(p, betas, mode)
-    return [SweepRow(beta=beta, status=_SWEEP_STATUS[status],
-                     result=LocalizationResult(
-                         b_star=b_star, binding_energy=depth, beta=beta, particle=p,
-                         mode=mode, b_over_de_broglie=ratio) if status == "ok" else None)
-            for beta, b_star, depth, ratio, status in zip(
-                betas, rows.b_star, rows.depth, rows.b_over_de_broglie, rows.status)]
+    cols = _localize(p, betas, mode)
+    ok = cols.status == "ok"
+
+    def cells(values):
+        """values on the ok rows, None on the error rows, as Python objects."""
+        return np.where(ok, values, None).tolist()
+    with np.errstate(over="ignore"):   # an error row's depth may be any float
+        binding_ev = cols.depth / EV
+    return list(map(SweepRow._make, zip(
+        betas, cells(cols.b_star), cells(binding_ev), cells(cols.b_over_de_broglie),
+        cells(mode.value), map(_SWEEP_STATUS.__getitem__, cols.status.tolist()))))

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from selffield import cli
+from selffield import cli, localization
 from selffield.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                            config_to_argv, main, parse_beta_grid)
 from selffield.errors import ConfigError
@@ -111,6 +111,32 @@ def test_sweep_deterministic(tmp_path, capsys):
         assert code == EXIT_OK
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_csv_sweep_builds_no_result_and_formats_no_cell_per_row(capsys, monkeypatch,
+                                                                tmp_path):
+    # a sweep row is one flat tuple formatted by one template: no
+    # LocalizationResult per row, and no _fmt call that grows with the rows
+    made, formatted = [], []
+
+    class Counted(localization.LocalizationResult):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(localization, "LocalizationResult", Counted)
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or fmt(x))
+    out_path, calls = tmp_path / "sweep.csv", []
+    for rows in (1, 1000):
+        formatted.clear()
+        grid = ",".join(repr(0.01 + 0.28 * i / 999) for i in range(rows))
+        code, _, _ = run_cli(capsys, "sweep", "--particle", "electron", "--beta", grid,
+                             "--output", str(out_path))
+        assert code == EXIT_OK
+        assert len(out_path.read_text().splitlines()) == rows + 1
+        calls.append(len(formatted))
+    assert made == []
+    assert calls[1] <= calls[0]
 
 
 def test_twelve_significant_digits(capsys):
@@ -396,7 +422,11 @@ def test_validate_report(tmp_path, capsys):
     ["atom", "--atom", "H", "--b", "nan"],
     ["evolve", "--particle", "electron", "--b", "3e-11", "--n", "48",
      "--box", "2.4e-10", "--dt", "2e-19", "--steps", "1"],
-], ids=["b-negative", "b-nan", "b-inf", "mode-unknown", "atom-b-nan", "n-48"])
+    ["sweep", "--particle", "electron", "--beta", ""],
+    ["sweep", "--particle", "electron", "--beta", ","],
+    ["sweep", "--particle", "electron", "--beta", "0.1:0.05:0.01"],
+], ids=["b-negative", "b-nan", "b-inf", "mode-unknown", "atom-b-nan", "n-48",
+        "beta-grid-empty", "beta-grid-comma", "beta-grid-stop-below-start"])
 def test_invalid_input_is_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG

@@ -19,6 +19,7 @@ import pytest
 from scipy import fft as sfft
 
 from selffield import dynamics
+from selffield.energy_budget import current_potential_energy
 from selffield.errors import GridMismatchError, TimestepTooLargeError
 from selffield.scales import CONST, ELECTRON, ParticleSpec
 from selffield.wavepacket import GaussianPacket
@@ -1088,3 +1089,28 @@ def test_restart_at_record_bit_identical_with_fused_steps(tmp_path):
     for a, b in zip(full.records[3:], tail.records[1:]):
         assert a.energy == b.energy
         assert np.array_equal(a.momentum, b.momentum)
+
+
+# --- bridge from the grid's energies to the paper's coefficients ---------------
+
+# simple-cubic Madelung constant of the periodic-image correction
+# (G. Makov & M. C. Payne, Phys. Rev. B 51, 4014 (1995))
+MAKOV_PAYNE_XI = 2.837297
+
+
+def test_grid_interaction_matches_closed_form_after_image_term():
+    # at t = 0 the grid's -(1/2) int j.A differs from the paper's
+    # -(2/3) beta^2 E_el by the periodic images' -xi sqrt(2 pi) b/L; once
+    # that is added back the residual falls as L^-3 (n=32 at 8b and n=64
+    # at 16b share dx = b/4, so resolution does not enter)
+    moving = GaussianPacket(b=B_TEST, particle=ELECTRON, beta=0.1,
+                            direction=np.array([1.0, 2.0, 2.0]))
+    closed = current_potential_energy(moving)
+    residual = {}
+    for n, box_factor in ((32, 8.0), (64, 16.0)):
+        spec = GridSpec(n=n, box=box_factor * B_TEST, dt=2e-19, particle=ELECTRON)
+        record = diagnostics(init_grid(spec, moving), spec)
+        residual[box_factor] = ((record.interaction - closed) / closed
+                                + MAKOV_PAYNE_XI * math.sqrt(2.0 * math.pi) / box_factor)
+    assert abs(residual[16.0]) < 0.02
+    assert 6.0 < residual[8.0] / residual[16.0] < 11.0

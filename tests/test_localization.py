@@ -179,7 +179,7 @@ def test_result_matches_debroglie_field():
 def test_sweep_scaling_rows():
     rows = sweep(ELECTRON, [0.05, 0.1, 0.2])
     assert [r.status for r in rows] == ["ok", "ok", "ok"]
-    b = [r.result.b_star for r in rows]
+    b = [r.b_star_m for r in rows]
     assert b[0] / b[2] == pytest.approx(16.0, rel=1e-9, abs=0)
     assert b[1] / b[2] == pytest.approx(4.0, rel=1e-9, abs=0)
 
@@ -193,7 +193,7 @@ def test_sweep_error_rows():
     assert rows[0].status == "no-minimum"
     assert rows[1].status == "ok"
     assert rows[2].status == "invalid-velocity"
-    data = [r.to_dict() for r in rows]
+    data = [r._asdict() for r in rows]
     assert data[0]["b_star_m"] is None
     assert data[1]["b_star_m"] == pytest.approx(1.4923e-8, rel=1e-3, abs=0)
 

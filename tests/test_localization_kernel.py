@@ -23,7 +23,7 @@ from selffield.energy_budget import BudgetMode  # noqa: E402
 from selffield.errors import InvalidVelocityError, NoMinimumError  # noqa: E402
 from selffield.localization import (RADIUS_PREFACTOR, SweepRow,  # noqa: E402
                                     functional_coefficients, minimize_radius, sweep)
-from selffield.scales import CONST, ELECTRON, ParticleSpec, derived_scales  # noqa: E402
+from selffield.scales import CONST, ELECTRON, EV, ParticleSpec, derived_scales  # noqa: E402
 from selffield.wavepacket import GaussianPacket  # noqa: E402
 
 
@@ -139,12 +139,16 @@ def test_sweep_rows_are_minimize_radius_rows(p, grid, mode):
         for beta, row in zip(grid, rows):
             # == on the nonzero finite floats of a result is bitwise
             try:
-                want = SweepRow(row.beta, minimize_radius(p, beta, mode), "ok")
+                res = minimize_radius(p, beta, mode)
+                want = SweepRow(row.beta, res.b_star, res.binding_energy / EV,
+                                res.b_over_de_broglie, mode.value, "ok")
             except InvalidVelocityError:
-                want = SweepRow(row.beta, None, "invalid-velocity")
+                want = SweepRow(row.beta, None, None, None, None, "invalid-velocity")
             except NoMinimumError:
-                want = SweepRow(row.beta, None, "no-minimum")
+                want = SweepRow(row.beta, None, None, None, None, "no-minimum")
             assert row == want
+            # Python floats and strs, as the CSV templates and JSON take them
+            assert all(type(cell) in (float, str, type(None)) for cell in row)
 
 
 def test_neutral_particle_still_raises():

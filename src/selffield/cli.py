@@ -161,9 +161,10 @@ def _csv_template(types: tuple) -> str:
 
 
 def _emit(args, payload, fields=(), mode=None) -> int:
-    """Write a result dict, or a list of NamedTuple rows whose _fields are
-    fields, rounded to 12 significant digits: sorted JSON, or under
-    --format csv a header over fields and one line per row, formatted by
+    """Write a result dict, or a list of rows in the column order of fields
+    (NamedTuples with those _fields where JSON is allowed), rounded to 12
+    significant digits: sorted JSON, or under --format csv (the only format
+    of evolve) a header over fields and one line per row, formatted by
     the one template of its cell types.  As with _fmt, a NaN or infinite
     float cell raises FloatingPointError (no str cell of a CSV row reads
     inf or nan)."""
@@ -219,6 +220,10 @@ def cmd_atom(args) -> int:
     return _emit(args, {**atom_minimize(atom, args.beta).to_dict(), "gamma_m": atom.gamma})
 
 
+# the CSV columns of an evolve run, one row per record
+TRAJECTORY_FIELDS = ("step", "t_s", "norm", "energy_J", "px", "py", "pz",
+                     "flux_residual_W")
+
 # the fields a snapshot fixes: given with --snapshot-in they are refused
 SNAPSHOT_FIELDS = ("particle", "z", "mass_kg", "beta", "b", "n", "box", "dt",
                    "coupling_off", "include_diagonal_na")
@@ -244,7 +249,8 @@ def cmd_evolve(args) -> int:
                                     beta=0.1 if args.beta is None else args.beta)
             state = init_grid(spec, packet)
         traj = evolve(state, spec, args.steps, record_stride=args.stride)
-    _write_output(args.output, "\n".join(traj.to_csv_rows()), args)
+    _emit(args, [(r.step, r.t, r.norm, r.energy, *map(float, r.momentum), r.flux_residual)
+                 for r in traj.records], TRAJECTORY_FIELDS)
     if args.snapshot_out is not None:
         save_snapshot(traj.final_state, spec, args.snapshot_out)
     return EXIT_OK
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo.add_argument("--snapshot-in", help="resume from a snapshot file")
     p_evo.add_argument("--snapshot-out", help="write the final state here")
     _add_output_args(p_evo, formats=())
-    p_evo.set_defaults(fn=cmd_evolve)
+    p_evo.set_defaults(fn=cmd_evolve, format="csv")
 
     p_val = subs.add_parser("validate", help="run the self-validation suite")
     p_val.add_argument("--skip-dynamics", action="store_true",
@@ -400,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 sys.stderr.write(f"selffield: cannot read config: {exc}\n")
                 return EXIT_IO
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError("config", f"invalid JSON: {exc}") from exc
             args = _PARSER.parse_args(config_to_argv(config))
         if args.command is None:

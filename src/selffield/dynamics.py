@@ -16,18 +16,20 @@ not commute.  Measured for the electron (n=32, box 8b, b = 3e-11 m, beta =
 at z = -1 but 1.55, 1.24, 1.08 at z = -10, and the step is not
 time-reversible: the error of a run forward and back halves with dt.
 
-A comes from one field solve of real-space psi,
-_Workspace.field_hat (its half spectrum, from the current) or
-_Workspace.field (A itself), which init_grid, solve_vector_potential, the
-step and the records all call; the real current and field pass through the
-half spectrum (rfftn/irfftn).  The step keeps the grad psi_mid of its field
-solve for the first application of the mixed generator, which then
-differentiates only A_i psi_mid.  Every first derivative is
-_Workspace.deriv: one BLAS product with the real, antisymmetric Fourier
-differentiation matrix D (the operator i k_grad, Nyquist mode zeroed) on
-the float view of a complex field.  At n <= 128 it runs faster than a 1-D
-transform pair; its cost per point grows as n, not log n, so from n = 256
-it is expected to be the slower of the two.
+One layout rule holds for spectra: psi lives on the full fftn spectrum,
+and every real field (the current, A, dj/dt and E_perp) on the rfftn half
+spectrum (last axis n/2 + 1), the transversality diagnostic included; 1/k^2
+and the field kernel exist on the half spectrum only.  A comes from one
+field solve of real-space psi, _Workspace.field_hat (its half spectrum,
+from the current) or _Workspace.field (A itself), which init_grid,
+solve_vector_potential, the step and the records all call.  The step
+keeps the grad psi_mid of its field solve for the first application of
+the mixed generator, which then differentiates only A_i psi_mid.  Every
+first derivative is _Workspace.deriv: one BLAS product with the real,
+antisymmetric Fourier differentiation matrix D (the operator i k_grad,
+Nyquist mode zeroed) on the float view of a complex field.  At n <= 128 it
+runs faster than a 1-D transform pair; its cost per point grows as n, not
+log n, so from n = 256 it is expected to be the slower of the two.
 
 The work of a step and a record runs as tasks of one module-level thread
 pool (_Workspace.map, sized like the 3-D transforms by _fft_workers); numpy,
@@ -277,18 +279,23 @@ class _Workspace:
         self.dv = dx**3
         k1 = 2.0 * math.pi * sfft.fftfreq(n, d=dx)
         self.k_axes = _axis_arrays(k1)
-        k2 = self.k2
-        # Field kernel excludes k = 0 (no uniform gauge field on the torus)
-        # and the Nyquist planes, where the grid projector cannot preserve
-        # the Hermitian pairing of a real field.
-        self.inv_k2 = np.zeros_like(k2)
-        nz = k2 > 0.0
-        self.inv_k2[nz] = 1.0 / k2[nz]
+        kx, ky, kz = self.k_axes
         nyq = n // 2
+        # Real fields live on the rfftn half spectrum (last axis n/2 + 1, its
+        # k_z = n/2 plane labelled -n/2 as fftfreq has it).  The field kernel
+        # excludes k = 0 (no uniform gauge field on the torus) and the
+        # Nyquist planes, where the grid projector cannot preserve the
+        # Hermitian pairing of a real field.
+        self.k_half = (kx, ky, kz[..., :nyq + 1])
+        k2_half = sum(k**2 for k in self.k_half)
+        self.inv_k2 = np.zeros_like(k2_half)
+        nz = k2_half > 0.0
+        self.inv_k2[nz] = 1.0 / k2_half[nz]
         for axis in range(3):
             idx = [slice(None)] * 3
             idx[axis] = nyq
             self.inv_k2[tuple(idx)] = 0.0
+        self.field_kernel = self.inv_k2 / (CONST.eps0 * CONST.c**2)
         # First-derivative wavenumbers zero the Nyquist planes (the odd
         # derivative of the sawtooth mode is sign-ambiguous; zeroing keeps
         # gradients of real fields real and the mixed generator skew).  The
@@ -304,15 +311,10 @@ class _Workspace:
         self.x1 = np.arange(n) * dx
         self.centre = 0.5 * spec.box
         mass = spec.particle.mass
+        k2 = kx**2 + ky**2 + kz**2    # psi's full spectrum
         self.kin_omega = CONST.hbar * k2 / (2.0 * mass)  # rad/s per mode
         self.charge = spec.particle.charge
         self.workers = _fft_workers()
-
-    @property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the full grid, formed on demand (no step reads it)."""
-        kx, ky, kz = self.k_axes
-        return kx**2 + ky**2 + kz**2
 
     @property
     def r(self) -> np.ndarray:
@@ -324,11 +326,6 @@ class _Workspace:
         """exp(-i hbar k^2 dt / 4M), the half-step kinetic factor (0 - x,
         not -x, keeps the +0.0 sine at k = 0 that exp(-1j x) gives)."""
         return _cis(0.0 - self.kin_omega * (0.5 * self.spec.dt))
-
-    @functools.cached_property
-    def field_kernel(self) -> np.ndarray:
-        """1/(eps0 c^2 k^2) on the rfftn half spectrum, contiguous."""
-        return self.inv_k2[..., :self.spec.n // 2 + 1] / (CONST.eps0 * CONST.c**2)
 
     # fft helpers -------------------------------------------------------
     def fftn(self, a, overwrite=False):
@@ -469,18 +466,12 @@ class _Workspace:
         self.slabs(slab)
         return j
 
-    def _wavenumbers(self, vec_hat):
-        """k per axis and 1/k^2 for a full spectrum or an rfftn half spectrum
-        (last axis n/2 + 1; 1/k^2 vanishes on its Nyquist plane, so the sign
-        convention of that plane does not enter)."""
-        m = vec_hat.shape[-1]
-        kx, ky, kz = self.k_axes
-        return (kx, ky, kz[..., :m]), self.inv_k2[..., :m]
-
     def project_transverse(self, vec_hat):
-        """Remove the longitudinal part in one pass, in place: v - k (k.v)/k^2,
-        k = 0 untouched, in slabs.  Serves full and half (rfftn) spectra."""
-        (kx, ky, kz), inv_k2 = self._wavenumbers(vec_hat)
+        """Remove the longitudinal part of an rfftn half spectrum in one pass,
+        in place: v - k (k.v)/k^2, k = 0 untouched, in slabs (1/k^2 vanishes
+        on the Nyquist planes, so the sign convention of k there does not
+        enter)."""
+        kx, ky, kz = self.k_half
         k_dot, prod = np.empty_like(vec_hat[0]), np.empty_like(vec_hat[0])
 
         def slab(sl):
@@ -489,7 +480,7 @@ class _Workspace:
             np.multiply(k_rows[0], v[0], out=kd)
             kd += np.multiply(k_rows[1], v[1], out=p)
             kd += np.multiply(k_rows[2], v[2], out=p)
-            kd *= inv_k2[sl]
+            kd *= self.inv_k2[sl]
             for v_i, k in zip(v, k_rows):
                 v_i -= np.multiply(k, kd, out=p)
 
@@ -497,13 +488,9 @@ class _Workspace:
         return vec_hat
 
     def vector_potential_hat(self, j_hat):
-        """A_hat = P_perp j_hat / (eps0 c^2 k^2), in j_hat's memory; the
-        k = 0 mode is zero."""
-        a_hat = self.project_transverse(j_hat)
-        kernel = self.field_kernel
-        if j_hat.shape[-1] != kernel.shape[-1]:   # a full spectrum
-            kernel = self.inv_k2 / (CONST.eps0 * CONST.c**2)
-        return self.imul(a_hat, kernel)
+        """A_hat = P_perp j_hat / (eps0 c^2 k^2) of an rfftn half spectrum,
+        in j_hat's memory; the k = 0 mode is zero."""
+        return self.imul(self.project_transverse(j_hat), self.field_kernel)
 
     def field_hat(self, psi, j, a_prev=None):
         """The field solve of real-space psi with canonical current j: the
@@ -567,14 +554,18 @@ def solve_vector_potential(state: GridState, spec: GridSpec) -> np.ndarray:
 def transversality_residual(a_field: np.ndarray, spec: GridSpec) -> float:
     """Divergence residual max_k |k . a_hat| / max_k (|k| |a_hat|).
 
-    Normalized by the global field scale; a per-mode ratio would be
-    dominated by roundoff at modes whose amplitude is at the noise floor.
+    Taken over the rfftn half spectrum, which holds every mode of the real
+    field up to conjugation, except that on the x and y Nyquist planes
+    (where a solved field has no content) it reads k = -n/2 only, not also
+    the other sign of that ambiguous wavenumber.  Normalized by the global
+    field scale; a per-mode ratio would be dominated by roundoff at modes
+    whose amplitude is at the noise floor.
     """
     ws = _Workspace(spec)
-    a_hat = ws.fftn(a_field)
-    kx, ky, kz = ws.k_axes
+    a_hat = ws.rfftn(a_field)
+    kx, ky, kz = ws.k_half
     k_dot = np.abs(kx * a_hat[0] + ky * a_hat[1] + kz * a_hat[2])
-    mag = np.sqrt(ws.k2) * np.sqrt(np.sum(np.abs(a_hat) ** 2, axis=0))
+    mag = np.sqrt(kx**2 + ky**2 + kz**2) * np.sqrt(np.sum(np.abs(a_hat) ** 2, axis=0))
     scale = float(mag.max())
     if scale == 0.0:
         return 0.0
@@ -971,13 +962,6 @@ class Trajectory:
     records: list[DiagnosticsRecord]
     final_state: GridState
 
-    def to_csv_rows(self):
-        yield "step,t_s,norm,energy_J,px,py,pz,flux_residual_W"
-        for r in self.records:
-            yield (f"{r.step},{r.t:.11e},{r.norm:.11e},{r.energy:.11e},"
-                   f"{r.momentum[0]:.11e},{r.momentum[1]:.11e},"
-                   f"{r.momentum[2]:.11e},{r.flux_residual:.11e}")
-
 
 def _finite(rec: DiagnosticsRecord) -> DiagnosticsRecord:
     """rec, or FloatingPointError naming its first non-finite field."""
@@ -1011,7 +995,6 @@ def evolve(state: GridState, spec: GridSpec, n_steps: int,
         raise ValueError("record_stride must be >= 1")
     _check_timestep(spec)
     ws = _Workspace(spec)
-    ws.field_kernel   # built before the first record's temporaries, which it would split
     a2_history: deque = deque(maxlen=3)
     records: list[DiagnosticsRecord] = []
     fsal = _Fsal()

@@ -294,6 +294,19 @@ def test_config_missing_file(capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("form", ["split", "equals"])
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, form):
+    # nesting past the interpreter's recursion limit, written as text
+    # (json.dumps cannot build it)
+    path = tmp_path / "run.json"
+    path.write_text("[" * 200_000)
+    argv = ["--config", str(path)] if form == "split" else [f"--config={path}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("selffield: config error: config: invalid JSON")
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minimize", "--particle", "electron", "--beta", "0.1",
@@ -333,6 +346,19 @@ def test_evolve_and_restart(tmp_path, capsys):
     t_end = float(lines1[-1].split(",")[1])
     t_resume = float(lines2[1].split(",")[1])
     assert t_resume == pytest.approx(t_end, rel=1e-12, abs=0)
+
+
+def test_trajectory_csv_shape(capsys):
+    b = 3e-11
+    code, out, _ = run_cli(capsys, "evolve", "--particle", "electron", "--beta", "0.0",
+                           "--b", str(b), "--n", "32", "--box", str(8 * b),
+                           "--dt", "2e-19", "--coupling-off", "--steps", "10",
+                           "--stride", "5")
+    assert code == EXIT_OK
+    rows = out.splitlines()
+    assert rows[0] == "step,t_s,norm,energy_J,px,py,pz,flux_residual_W"
+    assert len(rows) == 4
+    assert rows[1].startswith("0,")
 
 
 def test_evolve_grid_mismatch_is_numeric_error(capsys, tmp_path):

@@ -5,16 +5,18 @@ vector potential slaved quasi-statically to its own probability current:
 A_hat(k) = j_perp_hat(k) / (eps0 c^2 k^2), k != 0.  One step is a split
 step: exact spectral half kinetic step, full step of the A-dependent factor
 with the field refreshed from the midpoint psi, half kinetic step again.
-The mixed A.grad term is applied through a short unitarized polynomial of
-the anti-Hermitian generator (A.grad + div(A .)), keeping per-step norm
-drift at roundoff, and the A^2 term after it as a pure phase.  The step is
-not a symmetric Strang step, for two reasons: the field A[psi_mid] is
-explicit (the mixed term changes j after A is taken), and the field factor
-is the Lie-Trotter pair P.M of the A^2 phase and the mixed term, which do
-not commute.  Measured for the electron (n=32, box 8b, b = 3e-11 m, beta =
-0.1, dt halved from 2e-19 s), the order of psi's self-convergence is 2.00
-at z = -1 but 1.55, 1.24, 1.08 at z = -10, and the step is not
-time-reversible: the error of a run forward and back halves with dt.
+The mixed term -(q/2M)(A.p + p.A) = (i q hbar / 2M) G is applied through a
+short unitarized polynomial of the anti-Hermitian generator G = A.grad +
+div(A .), keeping per-step norm drift at roundoff, and the A^2 term after
+it as a pure phase; G has one implementation, _mixed_generator, which the
+records' H psi shares.  The step is not a symmetric Strang step, for two
+reasons: the field A[psi_mid] is explicit (the mixed term changes j after A
+is taken), and the field factor is the Lie-Trotter pair P.M of the A^2
+phase and the mixed term, which do not commute.  Measured for the electron
+(n=32, box 8b, b = 3e-11 m, beta = 0.1, dt halved from 2e-19 s), the order
+of psi's self-convergence is 2.00 at z = -1 but 1.55, 1.24, 1.08 at z =
+-10, and the step is not time-reversible: the error of a run forward and
+back halves with dt.
 
 One layout rule holds for spectra: psi lives on the full fftn spectrum,
 and every real field (the current, A, dj/dt and E_perp) on the rfftn half
@@ -32,24 +34,26 @@ runs faster than a 1-D transform pair; its cost per point grows as n, not
 log n, so from n = 256 it is expected to be the slower of the two.
 
 The work of a step and a record runs as tasks of one module-level thread
-pool (_Workspace.map, sized like the 3-D transforms by _fft_workers); numpy,
-pocketfft and BLAS release the GIL.  Pointwise passes run in slabs, one
-slice of the leading grid axis per worker (_Workspace.slabs): the half
+pool (_Workspace.map, sized like the 3-D transforms by _fft_workers);
+numpy, pocketfft and BLAS release the GIL.  Pointwise passes run in slabs,
+one slice of the leading grid axis per worker (_Workspace.slabs): the half
 kinetic factors, the current, the transverse projection and the field
-kernel, the axis-order dot products such as A.A, the mixed term's per-pass
-sums and its psi + y1 + y2/2 combination, the A^2 phase, and the pointwise
-terms of H psi.  The y and z derivatives run in the same slabs, the x
-derivatives in slabs across y; dj/dt runs one task per axis.  BLAS itself
-runs on one thread inside evolve, init_grid, solve_vector_potential, step
-and diagnostics (_one_blas_thread), which put the caller's count back on
-return.  A derivative writes out of place, through scratch that the
-calling thread allocated where it must act in place, and H psi adds its
-divergence one axis at a time through one buffer, which keeps a record's
-memory peak low.  A task allocates no array of its own (numpy's
-mixed real-complex multiplies still take iteration buffers).  Every element
-sees the operations of one whole-array pass in the same order, and sums
-over axes run in axis order 0, 1, 2, so psi, A and every record are
-bit-identical at any thread count.
+kernel, the axis-order dot products such as A.A and A.grad phi, the buffer
+A_i phi of the mixed generator, the mixed term's psi + y1 + y2/2
+combination, the A^2 phase, and the pointwise terms of H psi.  The y and z
+derivatives run in the same slabs, the x derivatives in slabs across y;
+dj/dt runs one task per axis.  BLAS itself runs on one thread inside
+evolve, init_grid, solve_vector_potential, step and diagnostics
+(_one_blas_thread), which put the caller's count back on return.  A
+derivative writes out of place, through scratch that the calling thread
+allocated where it must act in place.  The mixed generator adds its
+divergence one axis at a time through one buffer of A_i phi, its
+derivatives going through one chunk per slab of a quarter of the slab's
+planes, which keeps the memory peaks of a step and a record low.  A task
+allocates no array of its own (numpy's mixed real-complex multiplies still
+take iteration buffers).  Every element sees the operations of one
+whole-array pass in the same order, and sums over axes run in axis order 0,
+1, 2, so psi, A and every record are bit-identical at any thread count.
 
 Between records, evolve fuses the trailing half kinetic factor of one step
 with the leading one of the next ("first same as last", FSAL), which is
@@ -278,8 +282,7 @@ class _Workspace:
         n, dx = spec.n, spec.dx
         self.dv = dx**3
         k1 = 2.0 * math.pi * sfft.fftfreq(n, d=dx)
-        self.k_axes = _axis_arrays(k1)
-        kx, ky, kz = self.k_axes
+        kx, ky, kz = _axis_arrays(k1)
         nyq = n // 2
         # Real fields live on the rfftn half spectrum (last axis n/2 + 1, its
         # k_z = n/2 plane labelled -n/2 as fftfreq has it).  The field kernel
@@ -435,12 +438,14 @@ class _Workspace:
                       out=ov.reshape(rows, copy=False))
         return out
 
-    def grad(self, f):
-        """Spectral gradient of a complex field, a (3, n, n, n) stack, in one
-        pass of slabs: the y and z derivatives of the slab's rows and the x
-        derivative of its columns across y (f is only read)."""
+    def grad(self, f, out=None):
+        """Spectral gradient of a complex field, a (3, n, n, n) stack (into
+        out if given), in one pass of slabs: the y and z derivatives of the
+        slab's rows and the x derivative of its columns across y (f is only
+        read)."""
         f = np.ascontiguousarray(f, dtype=complex)
-        out = np.empty((3,) + f.shape, dtype=complex)
+        if out is None:
+            out = np.empty((3,) + f.shape, dtype=complex)
 
         def slab(sl):
             self.deriv(f[:, sl], 0, out[0][:, sl])
@@ -581,80 +586,75 @@ def _check_timestep(spec: GridSpec):
             f"exceeds {0.8 * math.pi:.3f}")
 
 
+def _mixed_generator(ws: _Workspace, a_field, phi, grad_phi):
+    """G phi = A.grad phi + div(A phi), the anti-Hermitian generator of the
+    mixed term -(q/2M)(A.p + p.A) = (i q hbar / 2M) G, for a real field A;
+    grad_phi is grad phi.
+
+    A.grad phi comes from _Workspace.dot, and div(A phi) is added to it in
+    axis order 0, 1, 2 through one buffer of A_i phi.  Its derivatives go
+    through one stack of chunks that the calling thread allocated, one
+    chunk per slab of a quarter of its planes (at least one): planes across
+    y in slabs of y for the x term, x-planes in slabs of rows for the y and
+    z terms."""
+    n = ws.spec.n
+    out = ws.dot(a_field, grad_phi)
+    buf = np.empty_like(phi)
+    rows = ws.slab_rows()
+    width = max(1, n // (4 * len(rows)))
+    chunks = np.empty((len(rows), width, n, n), dtype=complex)
+
+    def rows_x(sl):
+        np.multiply(a_field[0, sl], phi[sl], out=buf[sl])
+
+    def cols_x(i):
+        ys = range(n)[rows[i]]
+        for y in ys[::width]:
+            cut = slice(y, min(y + width, ys.stop))
+            f = buf[:, cut]
+            out[:, cut] += ws.deriv(f, 0, chunks[i, :f.shape[1]].reshape(f.shape))
+
+    def rows_yz(i):
+        sl = rows[i]
+        for axis in (1, 2):
+            b = np.multiply(a_field[axis, sl], phi[sl], out=buf[sl])
+            for x in range(0, len(b), width):
+                f = b[x:x + width]
+                out[sl][x:x + width] += ws.deriv(f, axis, chunks[i, :len(f)])
+
+    ws.slabs(rows_x)
+    for fn in (cols_x, rows_yz):
+        list(ws.map(fn, range(len(rows))))
+    return out
+
+
 def _apply_mixed(ws: _Workspace, psi, a_field, tau, grad):
     """Propagate for time tau under the mixed term -(q/2M)(A.p + p.A).
 
     The exact exponential is exp(Y) with the anti-Hermitian generator
-    Y = (tau q / 2M)(A.grad + div(A .)); it is applied as the 2nd-order
-    polynomial I + Y + Y^2/2, unitary to O(|Y|^3).  With |Y| ~ 1e-4 per
-    step this keeps norm drift far below 1e-12.
+    Y = (tau q / 2M) G, G = A.grad + div(A .) (_mixed_generator); it is
+    applied as the 2nd-order polynomial I + Y + Y^2/2, unitary to O(|Y|^3).
+    With |Y| ~ 1e-4 per step this keeps norm drift far below 1e-12.
 
     grad is grad psi, which the step's field solve formed, so the first
-    application of Y differentiates only A_i psi per axis; grad's memory then
-    serves the second application, which differentiates phi and A_i phi.
-    A derivative writes out of place, so A_i phi goes through scratch: y1
-    (free until the first application sums into it) in the first, grad[i]
-    (free until the derivative of phi lands there) in the second.
+    application of G differentiates only A_i psi per axis; grad's memory
+    then takes grad y1 for the second.  The result is y1's memory, combined
+    as (y1 + psi) + y2 / 2.
     """
     coeff = tau * ws.charge / (2.0 * ws.spec.particle.mass)
-    div = np.empty_like(grad)
-    y1 = np.empty_like(psi)
-
-    def apply_y(phi, finish):
-        # grad[i] <- A_i d_i phi, div[i] <- d_i(A_i phi) (phi is None on the
-        # first application, where grad[i] is d_i psi), then finish(rows).
-        # Slabs of rows hold the pointwise work and the y and z derivatives;
-        # the x derivatives run in slabs across y once every row of A_x phi
-        # is in its scratch
-        src = psi if phi is None else phi
-        scratch = [y1] * 3 if phi is None else grad
-
-        def rows_yz(sl):
-            for axis in (1, 2, 0):
-                a_i, g = a_field[axis, sl], grad[axis, sl]
-                s = np.multiply(a_i, src[sl], out=scratch[axis][sl])
-                if axis:
-                    ws.deriv(s, axis, div[axis, sl])
-                    if phi is not None:
-                        ws.deriv(phi[sl], axis, g)
-                    g *= a_i
-
-        def cols_x(sl):
-            ws.deriv(scratch[0][:, sl], 0, div[0][:, sl])
-            if phi is not None:
-                ws.deriv(phi[:, sl], 0, grad[0][:, sl])
-
-        def rows_finish(sl):
-            g = grad[0, sl]
-            g *= a_field[0, sl]
-            finish(sl)
-
-        for fn in (rows_yz, cols_x, rows_finish):
-            ws.slabs(fn)
-
-    def y_rows(y, sl):
-        # rows sl of Y phi: coeff times the sum of grad[i] + div[i] in axis
-        # order, from 0 + grad[0] as a zeroed accumulator starts it
-        acc = np.add(0.0, grad[0, sl], out=y[sl])
-        acc += div[0, sl]
-        for axis in (1, 2):
-            acc += grad[axis, sl]
-            acc += div[axis, sl]
-        acc *= coeff
-        return acc
-
-    apply_y(None, lambda sl: y_rows(y1, sl))
+    y1 = _mixed_generator(ws, a_field, psi, grad)
+    ws.slabs(lambda sl: np.multiply(y1[sl], coeff, out=y1[sl]))
+    y2 = _mixed_generator(ws, a_field, y1, ws.grad(y1, out=grad))
 
     def combine(sl):
-        # psi + y1 + y2 / 2, in the order (y1 + psi) + 0.5 y2; the rows of
-        # y2 = Y y1 take the place of their rows of grad[0], summed
-        half = y_rows(grad[0], sl)
+        half = y2[sl]
+        half *= coeff
+        half *= 0.5
         out = y1[sl]
         out += psi[sl]
-        half *= 0.5
         out += half
 
-    apply_y(y1, combine)
+    ws.slabs(combine)
     return y1
 
 
@@ -893,37 +893,10 @@ def diagnostics(state: GridState, spec: GridSpec, ws: _Workspace | None = None,
 
 def _hamiltonian_apply(ws: _Workspace, psi, psi_hat, a_field, grad):
     """H psi for H = p^2/2M - (q/2M)(A.p + p.A) + q^2 A^2 / 2M; grad is
-    grad psi in real space and psi_hat the spectrum of psi.
-
-    The divergence div(A psi) is added to A.grad psi one axis at a time
-    through one buffer of A_i psi; its derivatives go one plane at a time
-    through one plane of scratch per slab: x-planes in slabs of rows for
-    the y and z terms, planes across y in slabs of y for the x term."""
-    mass, n = ws.spec.particle.mass, ws.spec.n
-    mixed = ws.dot(a_field, grad)
-    buf = np.empty_like(psi)
-    rows = ws.slab_rows()
-    scratch = np.empty((len(rows), n, n), dtype=complex)
-
-    def rows_x(sl):
-        np.multiply(a_field[0, sl], psi[sl], out=buf[sl])
-
-    def cols_x(i):
-        plane = scratch[i][:, None]
-        for y in range(n)[rows[i]]:
-            mixed[:, y] += ws.deriv(buf[:, y:y + 1], 0, plane)[:, 0]
-
-    def rows_yz(i):
-        sl, plane = rows[i], scratch[i]
-        for axis in (1, 2):
-            b = np.multiply(a_field[axis, sl], psi[sl], out=buf[sl])
-            for b_x, m_x in zip(b, mixed[sl]):
-                m_x += ws.deriv(b_x, axis, plane)
-
-    ws.slabs(rows_x)
-    for fn in (cols_x, rows_yz):
-        list(ws.map(fn, range(len(rows))))
-    del buf, scratch
+    grad psi in real space and psi_hat the spectrum of psi.  The mixed term
+    is (i q hbar / 2M) G psi, with G psi from _mixed_generator."""
+    mass = ws.spec.particle.mass
+    mixed = _mixed_generator(ws, a_field, psi, grad)
     kinetic, h_hat = np.empty(psi.shape), np.empty_like(psi)
 
     def kinetic_slab(sl):

@@ -832,6 +832,39 @@ def test_derivative_matrix_is_the_fourier_derivative(n):
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+def test_mixed_generator_matches_transform_derivatives(monkeypatch):
+    # G phi = A.grad phi + div(A phi) for a seeded complex phi and real A, at
+    # 1 and 3 workers (bit-identical), against 1-D transform derivatives;
+    # the step's polynomial is psi + Y psi + Y^2 psi / 2 with Y = (tau q/2M) G
+    spec = small_spec()
+    rng = np.random.default_rng(25)
+    shape = (spec.n,) * 3
+    phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = rng.standard_normal((3,) + shape)
+
+    def reference(f):
+        return sum(a[i] * _fft_derivative(f, i, spec.box)
+                   + _fft_derivative(a[i] * f, i, spec.box) for i in range(3))
+
+    want = reference(phi)
+    got = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("SELFFIELD_THREADS", threads)
+        ws = _Workspace(spec)
+        got.append(dynamics._mixed_generator(ws, a, phi, ws.grad(phi)))
+    assert np.array_equal(got[0], got[1])
+    assert np.linalg.norm(got[0] - want) <= 1e-13 * np.linalg.norm(want)
+
+    # tau puts the bound on ||Y|| at 0.1, so Y^2/2 is well above roundoff
+    mass, q = spec.particle.mass, spec.particle.charge
+    tau = 0.1 / abs(q / mass * np.abs(a).max() * ws.k_grad_max)
+    y1 = (tau * q / (2.0 * mass)) * want
+    expected = phi + y1 + 0.5 * (tau * q / (2.0 * mass)) * reference(y1)
+    out = dynamics._apply_mixed(ws, phi, a, tau, ws.grad(phi))
+    assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(phi)
+    assert np.linalg.norm(out - phi - y1) > 1e-6 * np.linalg.norm(phi)
+
+
 # a short coupled evolve in a fresh interpreter; prints one digest of the
 # final psi and A and every record
 _EVOLVE_DIGEST = """
@@ -936,14 +969,15 @@ def _peak_arrays(fn):
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_record_and_step_memory_bounds(monkeypatch, diagonal):
     # a coupled record releases its intermediates once consumed, builds the
-    # current and dj/dt one component at a time and the divergence in H psi
-    # one axis at a time; the step's gradient and the mixed term's three
-    # divergence buffers keep a fused interior step within 13 arrays; the
-    # field solve of init_grid holds no gradient through its transforms.
-    # The bounds hold at every worker count: slab tasks write into buffers
-    # the calling thread allocated, so more workers allocate no more arrays.
+    # current and dj/dt one component at a time and the divergence of the
+    # mixed generator one axis at a time through one buffer; the step's
+    # gradient and the two applications of the generator keep a fused
+    # interior step within 13 arrays; the field solve of init_grid holds no
+    # gradient through its transforms.  The bounds hold at every worker
+    # count: slab tasks write into buffers the calling thread allocated, so
+    # more workers allocate no more arrays.
     spec = dataclasses.replace(small_spec(), include_diagonal_na=diagonal)
-    for threads in (None, "1", "3"):
+    for threads in (None, "1", "3", "4", "8"):
         if threads is not None:
             monkeypatch.setenv("SELFFIELD_THREADS", threads)
         state = init_grid(spec, packet())
